@@ -14,7 +14,6 @@ from .fluid_core import (
     MonomialEos,
     PolynomialEos,
     check_strict_causality,
-    energy_pressure,
     flux,
     gnl_indicator,
     ideal_stress,
@@ -22,7 +21,6 @@ from .fluid_core import (
     parse_eos_expression,
     radiation_eos,
     stress_hessian,
-    theta_of_energy,
 )
 from .rankine_hugoniot import (
     NoShock,
@@ -62,16 +60,16 @@ from .profile_dynamics import (
     shoot_heteroclinic,
     state_of_w,
 )
-from .scan import ScanRecord, ScanResult, resolve_workers, run_scan
+from .scan import (ScanRecord, ScanResult, compute_profile, resolve_workers,
+                   run_scan)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BarotropicEos", "DomainError", "EosError", "FluidState",
     "MonomialEos", "PolynomialEos", "check_strict_causality",
-    "energy_pressure", "flux", "gnl_indicator", "ideal_stress",
+    "flux", "gnl_indicator", "ideal_stress",
     "make_eos", "parse_eos_expression", "radiation_eos", "stress_hessian",
-    "theta_of_energy",
     "NoShock", "ShockData", "char_speeds", "end_states", "g_eval",
     "q_max", "rho_bar", "shock_from_strength", "u1_of_rho",
     "BdnCoefficients", "CausalityError", "DissipationModel",
@@ -82,6 +80,7 @@ __all__ = [
     "lyapunov_eval", "lyapunov_gradient", "oscillation_detect",
     "planar_rhs", "rest_point_classify", "scalar_profile_ft", "state_of_w",
     "shoot_heteroclinic",
-    "ScanRecord", "ScanResult", "resolve_workers", "run_scan",
+    "ScanRecord", "ScanResult", "compute_profile", "resolve_workers",
+    "run_scan",
     "__version__",
 ]

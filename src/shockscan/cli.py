@@ -31,13 +31,15 @@ from .fluid_core import EosError, make_eos
 from .rankine_hugoniot import NoShock, end_states, shock_from_strength
 from .dissipation import (CausalityError, BdnCoefficients, make_model,
                           bdn_causality_class)
-from .profile_dynamics import scalar_profile_ft, shoot_heteroclinic
-from .scan import run_scan
+from .scan import compute_profile, run_scan
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NOSHOCK = 2
 EXIT_PROFILE = 3
+
+COEFFICIENTS = ("eta", "zeta", "chi", "mu", "nu")
+SOLVER_SETTINGS = ("rtol", "atol", "tol_conn", "tol_det", "tol_osc", "method")
 
 
 def fracfloat(text):
@@ -54,10 +56,6 @@ def _grid(text):
         lo, hi, n = text.split(":")
         return [float(v) for v in
                 np.linspace(float(Fraction(lo)), float(Fraction(hi)), int(n))]
-    return [float(Fraction(v)) for v in text.split(",")]
-
-
-def _comma_list(text):
     return [float(Fraction(v)) for v in text.split(",")]
 
 
@@ -192,25 +190,16 @@ def _make_shock(args):
     raise ValueError("either --strength or --q0 is required")
 
 
+def _given(args, keys):
+    """The options among keys that a flag or the config file set."""
+    return {k: getattr(args, k) for k in keys
+            if getattr(args, k, None) is not None}
+
+
 def _make_model(args, eos):
-    tag = args.model
-    if tag is None:
+    if args.model is None:
         raise ValueError("a model is required (--model or [model] tag)")
-    kw = {}
-    for key in ("eta", "zeta", "chi", "mu", "nu"):
-        v = getattr(args, key, None)
-        if v is not None:
-            kw[key] = v
-    return make_model(tag, eos, **kw)
-
-
-def _solver_overrides(args):
-    out = {}
-    for key in ("rtol", "atol", "tol_conn", "tol_det", "tol_osc", "method"):
-        v = getattr(args, key, None)
-        if v is not None:
-            out[key] = v
-    return out
+    return make_model(args.model, eos, **_given(args, COEFFICIENTS))
 
 
 def cmd_rh(args):
@@ -239,11 +228,7 @@ def cmd_rh(args):
 def cmd_profile(args):
     eos, sd = _make_shock(args)
     model = _make_model(args, eos)
-    overrides = _solver_overrides(args)
-    if model.tag == "ft-viscous":
-        res = scalar_profile_ft(sd, model.co, eos, **overrides)
-    else:
-        res = shoot_heteroclinic(sd, model, **overrides)
+    res = compute_profile(sd, model, **_given(args, SOLVER_SETTINGS))
     out = _outdir(args)
     jpath = os.path.join(out, "profile.json")
     with open(jpath, "w") as fh:
@@ -255,9 +240,8 @@ def cmd_profile(args):
         res.to_csv(cpath)
         wrote.append(cpath)
         if args.gnuplot:
-            gpath = os.path.join(out, "profile.gp")
-            _write_profile_gp(gpath)
-            wrote.append(gpath)
+            wrote.append(_write_gp(out, "profile", "x", "rho",
+                                   "1:4 with lines"))
     msg = res.classification + (f" ({res.reason})" if res.reason else "")
     if res.connected and res.width is not None:
         msg += f", width = {res.width:.6g}"
@@ -275,13 +259,9 @@ def cmd_scan(args):
         raise ValueError("a momentum flux is required (--q1)")
     strengths = _grid(args.strengths) if args.strengths else \
         [float(v) for v in np.linspace(0.05, 0.95, 19)]
-    co = {}
-    for key in ("eta", "zeta", "chi", "mu", "nu"):
-        v = getattr(args, key, None)
-        if v is not None:
-            co[key] = v
-    result = run_scan(args.eos, args.model, co, [args.q1], strengths,
-                      workers=args.workers, **_solver_overrides(args))
+    result = run_scan(args.eos, args.model, _given(args, COEFFICIENTS),
+                      [args.q1], strengths, workers=args.workers,
+                      **_given(args, SOLVER_SETTINGS))
     out = _outdir(args)
     cpath = os.path.join(out, "scan.csv")
     spath = os.path.join(out, "scan_summary.json")
@@ -295,9 +275,8 @@ def cmd_scan(args):
     print(f"wall time: {result.wall_time:.2f} s")
     wrote = [cpath, spath]
     if args.gnuplot:
-        gpath = os.path.join(out, "scan.gp")
-        _write_scan_gp(gpath)
-        wrote.append(gpath)
+        wrote.append(_write_gp(out, "scan", "strength", "width",
+                               "2:7 with points pt 7"))
     print("wrote " + ", ".join(wrote))
     return EXIT_OK
 
@@ -309,24 +288,18 @@ def cmd_causality(args):
     return EXIT_OK
 
 
-def _write_profile_gp(path):
+def _write_gp(out, stem, xlabel, ylabel, using):
+    """Write out/STEM.gp, a gnuplot script plotting STEM.csv; returns
+    its path."""
+    path = os.path.join(out, stem + ".gp")
     with open(path, "w") as fh:
         fh.write(
             "set datafile separator ','\n"
             "set key autotitle columnhead\n"
-            "set xlabel 'x'\n"
-            "set ylabel 'rho'\n"
-            "plot 'profile.csv' using 1:4 with lines\n")
-
-
-def _write_scan_gp(path):
-    with open(path, "w") as fh:
-        fh.write(
-            "set datafile separator ','\n"
-            "set key autotitle columnhead\n"
-            "set xlabel 'strength'\n"
-            "set ylabel 'width'\n"
-            "plot 'scan.csv' using 2:7 with points pt 7\n")
+            f"set xlabel '{xlabel}'\n"
+            f"set ylabel '{ylabel}'\n"
+            f"plot '{stem}.csv' using {using}\n")
+    return path
 
 
 def main(argv=None):

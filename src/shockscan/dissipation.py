@@ -80,6 +80,14 @@ def _projector(state):
     return G2 + np.outer(U, U), U
 
 
+def _shear_bulk_block(Pi, eta, zeta):
+    """Shear and bulk part of the planar tensor before the velocity
+    gradient; the causal tensor passes its effective zeta_check, the
+    Eckart tensor the bare zeta."""
+    return (eta * (Pi[1, 1] * Pi + np.outer(Pi[:, 1], Pi[1, :]))
+            + (zeta - 2.0 * eta / 3.0) * np.outer(Pi[:, 1], G2[1, :]))
+
+
 def profile_matrix_ft(state, eos, co):
     """Planar matrix of the causal viscosity/heat-conduction tensor.
 
@@ -91,8 +99,7 @@ def profile_matrix_ft(state, eos, co):
     t = state.theta
     sigma, zeta_check = ft_coefficients_at(state, eos, co)
     g1 = G2[1, :]
-    W = (co.eta * (Pi[1, 1] * Pi + np.outer(Pi[:, 1], Pi[1, :]))
-         + (zeta_check - 2.0 * co.eta / 3.0) * np.outer(Pi[:, 1], g1)
+    W = (_shear_bulk_block(Pi, co.eta, zeta_check)
          + sigma * (U[1] * np.outer(U, g1)
                     - U[1] * (Pi * U[1] + np.outer(U, Pi[1, :]))))
     M = W @ velocity_gradient(state)
@@ -112,10 +119,7 @@ def profile_matrix_eckart(state, eos, co):
     """
     Pi, U = _projector(state)
     t = state.theta
-    g1 = G2[1, :]
-    W = (co.eta * (Pi[1, 1] * Pi + np.outer(Pi[:, 1], Pi[1, :]))
-         + (co.zeta - 2.0 * co.eta / 3.0) * np.outer(Pi[:, 1], g1))
-    M = W @ velocity_gradient(state)
+    M = _shear_bulk_block(Pi, co.eta, co.zeta) @ velocity_gradient(state)
     if co.chi:
         vec = Pi[:, 1] * U[1] + Pi[1, 1] * U
         M = M + co.chi * np.outer(vec, t ** 3 * state.psi)
@@ -229,7 +233,15 @@ def _is_radiation(eos):
 
 
 def make_model(tag, eos=None, **kw):
-    """Factory from primitive keyword coefficients (CLI entry point)."""
+    """Factory from primitive keyword coefficients (CLI entry point).
+
+    Raises ValueError for a coefficient the model family does not take.
+    """
+    takes = ("eta", "mu", "nu") if tag == "bdn" else ("eta", "zeta", "chi")
+    extra = sorted(set(kw) - set(takes))
+    if extra:
+        raise ValueError(f"{tag} does not take {', '.join(extra)} "
+                         f"(it takes {', '.join(takes)})")
     if tag == "bdn":
         if "mu" not in kw or "nu" not in kw:
             raise ValueError("bdn needs both mu and nu")
@@ -237,6 +249,4 @@ def make_model(tag, eos=None, **kw):
         return DissipationModel("bdn", co, eos)
     co = FtCoefficients(kw.get("eta", 1.0), kw.get("zeta", 0.0),
                         kw.get("chi", 0.0))
-    if tag == "ft-viscous" and co.chi:
-        raise ValueError("ft-viscous has chi = 0; use ft-heat")
     return DissipationModel(tag, co, eos)

@@ -305,23 +305,6 @@ class FluidState:
         return f"FluidState({self.psi0:.17g}, {self.psi1:.17g})"
 
 
-def theta_of_psi(state):
-    return state.theta
-
-
-def u_of_psi(state):
-    return state.u
-
-
-def energy_pressure(eos, theta):
-    """(rho, p, cs2) at a temperature."""
-    return eos.rho(theta), eos.p(theta), eos.cs2(theta)
-
-
-def theta_of_energy(eos, rho):
-    return eos.theta_of_rho(rho)
-
-
 def ideal_stress(state, eos):
     """T^ab = theta^3 p'(theta) psi^a psi^b + p(theta) g^ab."""
     t = state.theta

@@ -48,6 +48,23 @@ def state_of_w(w):
     return FluidState(-w[0], w[1])
 
 
+# Fixed shooting limits: the orbit length allowed to a shot and the
+# radius of the spiral certificate, both in units of the end-state
+# distance, and the x horizon of every integration.
+ARC_BUDGET = 1e4
+X_MAX = 1e9
+TOL_SPIRAL = 1e-3
+
+
+def _nonsingular_matrix(state, model, tol_det):
+    """M(psi) at state, or SingularMatrix when |det M| < tol_det * ||M||."""
+    M = model.matrix(state)
+    det = abs(np.linalg.det(M))
+    if det < tol_det * np.linalg.norm(M):
+        raise SingularMatrix(state.cov, det, 0.0)
+    return M
+
+
 def planar_rhs(w, shock, model, tol_det=1e-10):
     """dw/dx = M(psi)^-1 F(w) of the profile system at covariant w.
 
@@ -56,10 +73,7 @@ def planar_rhs(w, shock, model, tol_det=1e-10):
     the latter escaping through the integrator.
     """
     state = state_of_w(w)
-    M = model.matrix(state)
-    det = np.linalg.det(M)
-    if abs(det) < tol_det * np.linalg.norm(M):
-        raise SingularMatrix(w, abs(det), 0.0)
+    M = _nonsingular_matrix(state, model, tol_det)
     F = flux(state, shock.eos) - np.array([shock.q0, shock.q1])
     return np.linalg.solve(M, F)
 
@@ -137,10 +151,7 @@ class RestPointReport:
 
 def rest_point_classify(label, state, model, eos, tol_det=1e-10):
     """Eigen-decompose the profile linearization at a rest state."""
-    M = model.matrix(state)
-    det = abs(np.linalg.det(M))
-    if det < tol_det * np.linalg.norm(M):
-        raise SingularMatrix(state.cov, det, 0.0)
+    M = _nonsingular_matrix(state, model, tol_det)
     H1 = stress_hessian(state, eos, 1)
     lam, vec = np.linalg.eig(np.linalg.solve(M, H1))
     return RestPointReport(label, state, lam, vec)
@@ -207,8 +218,7 @@ class ProfileResult:
 
 def _default_settings(**overrides):
     s = dict(rtol=1e-10, atol=1e-12, tol_conn=1e-6, tol_det=1e-10,
-             tol_osc=1e-6, tol_spiral=1e-3, budget=1e4, method="RK45",
-             xmax=1e9)
+             tol_osc=1e-6, method="RK45")
     for k, v in overrides.items():
         if k not in s:
             raise TypeError(f"unknown solver setting {k!r}")
@@ -217,7 +227,7 @@ def _default_settings(**overrides):
     return s
 
 
-def scalar_profile_ft(shock, co, eos=None, **overrides):
+def scalar_profile_ft(shock, co, **overrides):
     """Viscous-only profile by quadrature of the scalar reduction.
 
     With chi = 0 the planar system collapses onto the manifold
@@ -229,13 +239,11 @@ def scalar_profile_ft(shock, co, eos=None, **overrides):
     with R > 0 strictly between the end states, so the profile exists,
     is monotone, and is unique up to translation.  Integration starts
     at the midpoint density (x = 0) and runs both ways until rho is
-    within tol_conn * amplitude of the end states.
+    within tol_conn * amplitude of the end states.  Requires co.chi = 0.
     """
-    if co.chi != 0.0:
-        raise ValueError("scalar reduction requires chi = 0; "
-                         "use shoot_heteroclinic for heat conduction")
+    eos = shock.eos
+    model = DissipationModel("ft-viscous", co, eos)
     st = _default_settings(**overrides)
-    eos = eos or shock.eos
     q0, q1 = shock.q0, shock.q1
     rm, rp = shock.rho_minus, shock.rho_plus
     amp = rp - rm
@@ -259,11 +267,11 @@ def scalar_profile_ft(shock, co, eos=None, **overrides):
     Rv = np.array([R_of(r) for r in interior])
     scale = max(abs(R_of(0.5 * (rm + rp))), 1e-300)
     if abs(R_of(rm)) > 1e-8 * scale or abs(R_of(rp)) > 1e-8 * scale:
-        return ProfileResult("no_connection", shock, _co_model(co, eos),
+        return ProfileResult("no_connection", shock, model,
                              reason="R does not vanish at the end states",
                              settings=st)
     if Rv.min() <= 0.0:
-        return ProfileResult("no_connection", shock, _co_model(co, eos),
+        return ProfileResult("no_connection", shock, model,
                              reason="R changes sign between the end states",
                              settings=st)
 
@@ -282,8 +290,8 @@ def scalar_profile_ft(shock, co, eos=None, **overrides):
     ev_lo.terminal = True
 
     kw = dict(rtol=st["rtol"], atol=st["atol"] * amp, method=st["method"])
-    fwd = solve_ivp(rhs, (0.0, st["xmax"]), [rho_mid], events=[ev_hi], **kw)
-    bwd = solve_ivp(rhs, (0.0, -st["xmax"]), [rho_mid], events=[ev_lo], **kw)
+    fwd = solve_ivp(rhs, (0.0, X_MAX), [rho_mid], events=[ev_hi], **kw)
+    bwd = solve_ivp(rhs, (0.0, -X_MAX), [rho_mid], events=[ev_lo], **kw)
     xs = np.concatenate([bwd.t[::-1], fwd.t[1:]])
     rho = np.concatenate([bwd.y[0, ::-1], fwd.y[0, 1:]])
 
@@ -312,16 +320,11 @@ def scalar_profile_ft(shock, co, eos=None, **overrides):
         "right": float(abs(rho[-1] - rp)) / amp,
     }
     return ProfileResult(
-        "connected_monotone", shock, _co_model(co, eos),
+        "connected_monotone", shock, model,
         x=xs, w=w, rho=rho, u1=u1, lyap=lyap, rest_points=reports,
         endpoint_errors=err, width=float(width),
         n_steps=len(xs), arclength=float(np.abs(np.diff(rho)).sum()),
         settings=st)
-
-
-def _co_model(co, eos):
-    tag = "ft-heat" if co.chi else "ft-viscous"
-    return DissipationModel(tag, co, eos)
 
 
 def shoot_heteroclinic(shock, model, **overrides):
@@ -337,7 +340,7 @@ def shoot_heteroclinic(shock, model, **overrides):
       * det M(psi) below tol_det along the orbit     -> singular_matrix
       * arclength budget exhausted                   -> no_connection,
         unless the tail certifies a shrinking spiral around the target
-        (three successive windings inside the tol_spiral ball), which
+        (three successive windings inside the TOL_SPIRAL ball), which
         counts as connected_oscillatory.
     """
     st = _default_settings(**overrides)
@@ -412,12 +415,12 @@ def shoot_heteroclinic(shock, model, **overrides):
     ev_rho.terminal = True
 
     def ev_arc(x, y):
-        return y[2] - st["budget"] * amp
+        return y[2] - ARC_BUDGET * amp
     ev_arc.terminal = True
 
     y0 = np.array([src[0] + eps * v[0], src[1] + eps * v[1], 0.0])
     try:
-        sol = solve_ivp(rhs, (0.0, st["xmax"]), y0,
+        sol = solve_ivp(rhs, (0.0, X_MAX), y0,
                         events=[ev_conn, ev_cone, ev_rho, ev_arc],
                         rtol=st["rtol"], atol=st["atol"],
                         method=st["method"])
@@ -431,38 +434,34 @@ def shoot_heteroclinic(shock, model, **overrides):
     w_traj = sol.y[:2].T
     arclen = float(sol.y[2, -1]) if sol.y.shape[1] else 0.0
 
-    if sol.status < 0 and not any(hit.values()):
-        # step size underflow: the integrator ground to a halt without
-        # reaching any event.  Find out what it ran into.
-        cls, why = _diagnose_stall(w_traj[-1], direction, model, eos, q,
-                                   tol_det, rbar, rho_floor, amp)
+    def failed(cls, why):
         return ProfileResult(cls, shock, model, reason=why,
                              rest_points=reports, n_steps=sol.t.size,
                              arclength=arclen, settings=st)
 
+    if sol.status < 0 and not any(hit.values()):
+        # step size underflow: the integrator ground to a halt without
+        # reaching any event.  Find out what it ran into.
+        return failed(*_diagnose_stall(w_traj[-1], direction, model, eos, q,
+                                       tol_det, rbar, rho_floor, amp))
+
     if hit["cone"] or hit["rho"]:
-        return ProfileResult("escaped_domain", shock, model,
-                             reason="orbit left the physical domain",
-                             rest_points=reports, n_steps=sol.t.size,
-                             arclength=arclen, settings=st)
+        return failed("escaped_domain", "orbit left the physical domain")
 
     spiral_target = bool(np.any(
         np.abs(tgt_rp.eigenvalues.imag)
         > st["tol_osc"] * np.abs(tgt_rp.eigenvalues)))
 
     if not hit["conn"]:
-        if spiral_target and _spiral_certificate(
-                w_traj, tgt, amp, st["tol_spiral"]):
+        if spiral_target and _spiral_certificate(w_traj, tgt, amp):
             return _assemble(shock, model, sol, direction, src_rp, tgt_rp,
                              reports, st, amp,
                              "connected_oscillatory",
                              reason="budget ended inside a shrinking "
                                     "spiral around the target")
-        why = ("arclength budget exhausted" if hit["arc"]
-               else f"integrator stopped (status {sol.status})")
-        return ProfileResult("no_connection", shock, model, reason=why,
-                             rest_points=reports, n_steps=sol.t.size,
-                             arclength=arclen, settings=st)
+        return failed("no_connection",
+                      "arclength budget exhausted" if hit["arc"]
+                      else f"integrator stopped (status {sol.status})")
 
     th = (w_traj[:, 0] ** 2 - w_traj[:, 1] ** 2) ** -0.5
     rho_traj = np.array([eos.rho(t) for t in th])
@@ -511,17 +510,17 @@ def _diagnose_stall(w, direction, model, eos, q, tol_det, rbar, rho_floor,
     return "no_connection", "integrator stalled (step size underflow)"
 
 
-def _spiral_certificate(w_traj, tgt, amp, tol_spiral):
+def _spiral_certificate(w_traj, tgt, amp):
     """Budget ran out: accept only a documented shrinking spiral.
 
     Looks for at least three successive radius maxima (one per winding)
-    that decrease and all sit inside tol_spiral * amplitude of the
+    that decrease and all sit inside TOL_SPIRAL * amplitude of the
     target.
     """
     r = np.linalg.norm(w_traj - tgt, axis=1)
-    if r.size < 16 or r[-1] > tol_spiral * amp:
+    if r.size < 16 or r[-1] > TOL_SPIRAL * amp:
         return False
-    inner = r < tol_spiral * amp
+    inner = r < TOL_SPIRAL * amp
     peaks = [i for i in range(1, len(r) - 1)
              if inner[i] and r[i] >= r[i - 1] and r[i] >= r[i + 1]]
     if len(peaks) < 3:

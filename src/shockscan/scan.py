@@ -66,6 +66,20 @@ class ScanRecord:
         return [fmt(getattr(self, f)) for f in self.CSV_FIELDS]
 
 
+def compute_profile(shock, model, **overrides):
+    """Profile of one shock under one dissipation model.
+
+    The viscous-only tensor reduces to a scalar ODE solved by
+    quadrature; every other tensor is shot along the saddle
+    separatrix.  overrides are solver settings (rtol, atol, tol_conn,
+    tol_det, tol_osc, method); the CLI and every scan point come
+    through here.
+    """
+    if model.tag == "ft-viscous":
+        return scalar_profile_ft(shock, model.co, **overrides)
+    return shoot_heteroclinic(shock, model, **overrides)
+
+
 def _scan_point(args):
     """Classify one (q1, strength) point; top level so it pickles."""
     eos_spec, model_tag, co, q1, strength, overrides = args
@@ -81,10 +95,7 @@ def _scan_point(args):
     rec = ScanRecord(q1, strength, shock.q0, shock.rho_minus,
                      shock.rho_plus, "")
     try:
-        if model_tag == "ft-viscous":
-            res = scalar_profile_ft(shock, model.co, eos, **overrides)
-        else:
-            res = shoot_heteroclinic(shock, model, **overrides)
+        res = compute_profile(shock, model, **overrides)
     except CausalityError as exc:
         rec.classification = "causality_error"
         rec.reason = str(exc)

@@ -311,6 +311,13 @@ def test_model_validation():
         make_model("bdn", RAD, mu=2.0)        # nu missing
     with pytest.raises(ValueError):
         make_model("nonsense", RAD, eta=1.0)
+    # a coefficient the family does not take is an error, not dropped
+    with pytest.raises(ValueError, match="ft-heat does not take mu"):
+        make_model("ft-heat", RAD, eta=1.0, chi=0.5, mu=2.0)
+    with pytest.raises(ValueError, match="bdn does not take chi, zeta"):
+        make_model("bdn", RAD, mu=2.0, nu=2.0, chi=1.0, zeta=1.0)
+    with pytest.raises(ValueError, match="etaa"):
+        make_model("ft-viscous", RAD, etaa=1.0)
     with pytest.raises(TypeError):
         DissipationModel("bdn", FtCoefficients(1.0), RAD)
     with pytest.raises(TypeError):

@@ -7,9 +7,8 @@ import pytest
 
 from shockscan import (
     DomainError, EosError, FluidState, MonomialEos, PolynomialEos,
-    check_strict_causality, energy_pressure, flux, gnl_indicator,
-    ideal_stress, make_eos, parse_eos_expression, radiation_eos,
-    stress_hessian, theta_of_energy,
+    check_strict_causality, flux, gnl_indicator, ideal_stress, make_eos,
+    parse_eos_expression, radiation_eos, stress_hessian,
 )
 from shockscan.fluid_core import G2
 
@@ -169,7 +168,7 @@ def test_ideal_stress_matches_fluid_form():
     eos = radiation_eos()
     for _ in range(20):
         st = random_state(rng, eos)
-        rho, p, _ = energy_pressure(eos, st.theta)
+        rho, p = eos.rho(st.theta), eos.p(st.theta)
         u = st.u
         want = (rho + p) * np.outer(u, u) + p * G2
         assert np.allclose(ideal_stress(st, eos), want, rtol=1e-12)
@@ -244,11 +243,3 @@ def test_strict_causality_rejects_spacelike_direction():
     with pytest.raises(ValueError):
         check_strict_causality(FluidState(1.0, 0.0), eos,
                                directions=((1.0, 2.0),))
-
-
-def test_theta_of_energy_wrapper():
-    eos = radiation_eos()
-    assert theta_of_energy(eos, 16.0) == pytest.approx(2.0, rel=1e-14)
-    rho, p, cs2 = energy_pressure(eos, 2.0)
-    assert (rho, p) == (pytest.approx(16.0), pytest.approx(16.0 / 3.0))
-    assert cs2 == pytest.approx(1.0 / 3.0)

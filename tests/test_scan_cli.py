@@ -165,6 +165,11 @@ def test_cli_config_errors(capsys, tmp_path):
     # missing config file
     assert main(["rh", "--config", str(tmp_path / "none.ini"),
                  "--eos", "radiation", "--q1", "3", "--strength", "0.5"]) == 1
+    # a coefficient the model does not take
+    assert main(["profile", "--eos", "radiation", "--q1", "3",
+                 "--strength", "0.5", "--model", "ft-heat", "--eta", "1",
+                 "--chi", "0.5", "--mu", "2", "--out", str(tmp_path)]) == 1
+    assert not (tmp_path / "profile.json").exists()
     assert "error:" in capsys.readouterr().err
 
 
@@ -193,6 +198,20 @@ def test_cli_profile_failure_exit_three(tmp_path, capsys):
     d = json.loads((tmp_path / "profile.json").read_text())
     assert d["classification"] == "singular_matrix"
     assert not (tmp_path / "profile.csv").exists()
+
+
+@pytest.mark.parametrize("model, co", [("ft-viscous", FT),
+                                       ("bdn", BDN_SHARP)])
+def test_cli_profile_agrees_with_scan_point(tmp_path, model, co):
+    flags = [a for k, v in co.items() for a in (f"--{k}", repr(v))]
+    rc = main(["profile", "--eos", "radiation", "--q1", "1",
+               "--strength", "0.3", "--model", model, *flags,
+               "--out", str(tmp_path)])
+    assert rc == 0
+    d = json.loads((tmp_path / "profile.json").read_text())
+    rec = run_scan("radiation", model, co, [1.0], [0.3]).records[0]
+    assert (d["classification"], d["width"], d["n_steps"]) == \
+        (rec.classification, rec.width, rec.n_steps)
 
 
 def test_cli_profile_bdn_needs_radiation(capsys):
