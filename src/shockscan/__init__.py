@@ -45,7 +45,6 @@ from .dissipation import (
     profile_matrix_bdn,
     profile_matrix_eckart,
     profile_matrix_ft,
-    velocity_gradient,
 )
 from .profile_dynamics import (
     ProfileResult,
@@ -75,7 +74,7 @@ __all__ = [
     "BdnCoefficients", "CausalityError", "DissipationModel",
     "FtCoefficients", "bdn_causality_class", "ft_coefficients_at",
     "make_model", "nu_bound", "profile_matrix_bdn",
-    "profile_matrix_eckart", "profile_matrix_ft", "velocity_gradient",
+    "profile_matrix_eckart", "profile_matrix_ft",
     "ProfileResult", "RestPointReport", "SingularMatrix",
     "lyapunov_eval", "lyapunov_gradient", "oscillation_detect",
     "planar_rhs", "rest_point_classify", "scalar_profile_ft", "state_of_w",

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fluid_core import G2, EosError
+from .fluid_core import EosError
 
 
 class CausalityError(ValueError):
@@ -58,7 +58,10 @@ def ft_coefficients_at(state, eos, co):
     so that (4/3) eta + zeta_check = sigma identically.  Requires a
     subluminal sound speed; at cs^2 >= 1 the combination degenerates.
     """
-    t = state.theta
+    return _ft_coefficients(state.theta, eos, co)
+
+
+def _ft_coefficients(t, eos, co):
     c2 = eos.cs2(t)
     if c2 >= 1.0:
         raise CausalityError(
@@ -69,61 +72,66 @@ def ft_coefficients_at(state, eos, co):
     return sigma, zeta_check
 
 
-def velocity_gradient(state):
-    """d U_d / d psi_c as a 2x2 array, rows d (lower), columns c (upper)."""
-    t = state.theta
-    return t * np.eye(2) + t ** 3 * np.outer(state.cov, state.psi)
+# Closed forms.  In the t-x plane the projector orthogonal to U is
+# Pi = G2 + U (x) U = n (x) n with n = (u^1, u^0), since u0^2 - u1^2 = 1,
+# and n is a left eigenvector of the velocity gradient
+# dU_d/dw_c = theta I + theta^3 w (x) psi, with eigenvalue theta, since
+# n . w = 0.  Each family below is that reduction of its projector
+# assembly; entries are (M00, M01, M10, M11).
+
+def ft_entries(t, u0, u1, eos, co):
+    """Causal viscosity/heat-conduction tensor:
+    M = sigma theta Pi + chi theta^2 U (x) U."""
+    s = _ft_coefficients(t, eos, co)[0] * t
+    h = co.chi * t * t
+    m01 = (s + h) * u0 * u1
+    return s * u1 * u1 + h * u0 * u0, m01, m01, s * u0 * u0 + h * u1 * u1
 
 
-def _projector(state):
-    U = state.u
-    return G2 + np.outer(U, U), U
+def eckart_entries(t, u0, u1, co):
+    """Classical first-order (Eckart) tensor:
+    M = ((4/3) eta + zeta) theta u0^2 Pi + chi theta^2 u0 a (x) U,
+    a = (u0^2 + u1^2, 2 u0 u1), the projected temperature gradient."""
+    e = (4.0 * co.eta / 3.0 + co.zeta) * t * u0 * u0
+    h = co.chi * t * t * u0
+    a0, a1 = u0 * u0 + u1 * u1, 2.0 * u0 * u1
+    return (e * u1 * u1 + h * a0 * u0, e * u1 * u0 + h * a0 * u1,
+            e * u0 * u1 + h * a1 * u0, e * u0 * u0 + h * a1 * u1)
 
 
-def _shear_bulk_block(Pi, eta, zeta):
-    """Shear and bulk part of the planar tensor before the velocity
-    gradient; the causal tensor passes its effective zeta_check, the
-    Eckart tensor the bare zeta."""
-    return (eta * (Pi[1, 1] * Pi + np.outer(Pi[:, 1], Pi[1, :]))
-            + (zeta - 2.0 * eta / 3.0) * np.outer(Pi[:, 1], G2[1, :]))
+def bdn_entries(u0, u1, co):
+    """BDN tensor for the radiation fluid:
+    M = (4/3) eta u0^2 Pi - mu w (x) w - nu a (x) a,
+    w = (4 u0 u1, u0^2 + 3 u1^2), a = (u0^2 + u1^2, 2 u0 u1)."""
+    e = 4.0 * co.eta / 3.0 * u0 * u0
+    w0, w1 = 4.0 * u0 * u1, u0 * u0 + 3.0 * u1 * u1
+    a0, a1 = u0 * u0 + u1 * u1, 2.0 * u0 * u1
+    m01 = e * u1 * u0 - co.mu * w0 * w1 - co.nu * a0 * a1
+    return (e * u1 * u1 - co.mu * w0 * w0 - co.nu * a0 * a0, m01, m01,
+            e * u0 * u0 - co.mu * w1 * w1 - co.nu * a1 * a1)
+
+
+def _as_matrix(m):
+    return np.array(m).reshape(2, 2)
 
 
 def profile_matrix_ft(state, eos, co):
-    """Planar matrix of the causal viscosity/heat-conduction tensor.
-
-    Assembled term by term from the projector decomposition; the
-    result collapses to sigma*theta*Pi + chi*theta^2 U (x) U, which the
-    tests use as an independent check.
-    """
-    Pi, U = _projector(state)
-    t = state.theta
-    sigma, zeta_check = ft_coefficients_at(state, eos, co)
-    g1 = G2[1, :]
-    W = (_shear_bulk_block(Pi, co.eta, zeta_check)
-         + sigma * (U[1] * np.outer(U, g1)
-                    - U[1] * (Pi * U[1] + np.outer(U, Pi[1, :]))))
-    M = W @ velocity_gradient(state)
-    if co.chi:
-        # heat flux enters through the temperature gradient alone
-        M = M + co.chi * np.outer(U, t ** 3 * state.psi)
-    return M
+    """Planar matrix of the causal viscosity/heat-conduction tensor,
+    sigma theta Pi + chi theta^2 U (x) U."""
+    t, u0, u1 = state.theta_u()
+    return _as_matrix(ft_entries(t, u0, u1, eos, co))
 
 
 def profile_matrix_eckart(state, eos, co):
     """Planar matrix of the classical first-order (Eckart) tensor.
 
-    Shares the shear/bulk block with the causal tensor but uses the
-    bare zeta and couples heat conduction through the projected
+    The shear/bulk part is the causal one with the bare zeta in place
+    of zeta_check; heat conduction couples through the projected
     temperature gradient.  Not positive definite in general; kept for
     side-by-side comparisons, not used by the solvers.
     """
-    Pi, U = _projector(state)
-    t = state.theta
-    M = _shear_bulk_block(Pi, co.eta, co.zeta) @ velocity_gradient(state)
-    if co.chi:
-        vec = Pi[:, 1] * U[1] + Pi[1, 1] * U
-        M = M + co.chi * np.outer(vec, t ** 3 * state.psi)
-    return M
+    t, u0, u1 = state.theta_u()
+    return _as_matrix(eckart_entries(t, u0, u1, co))
 
 
 def profile_matrix_bdn(state, co):
@@ -131,9 +139,8 @@ def profile_matrix_bdn(state, co):
 
     The three blocks are the (a, c) slices at fixed b = d = 1 of the
     shear kernel and the two regulators; in the t-x plane each reduces
-    to rank-one or rank-two combinations of U and the projector column.
-    Unlike the viscous matrices this one is indefinite.  With
-    b = u^1 = theta psi^1 its determinant is
+    to a rank-one term.  Unlike the viscous matrices this one is
+    indefinite.  With b = u^1 = theta psi^1 its determinant is
 
         det M = -(A b^4 + B b^2 + C) / 3,
         A = 36 eta mu + 4 eta nu - 12 mu nu,
@@ -148,16 +155,8 @@ def profile_matrix_bdn(state, co):
     b != 0 when nu < 4 eta.  tests/test_dissipation.py certifies these
     forms symbolically.
     """
-    Pi, U = _projector(state)
-    BE = (Pi[1, 1] * Pi + np.outer(Pi[:, 1], Pi[1, :])
-          - (2.0 / 3.0) * np.outer(Pi[:, 1], Pi[:, 1]))
-    w = 3.0 * U[1] * U + Pi[:, 1]
-    B1 = np.outer(w, w)
-    Pim = Pi @ G2
-    ahat = np.outer(U, Pim[1, :]) + U[1] * Pim
-    bhat = np.outer(U, Pi[1, :]) + U[1] * Pi
-    B2 = ahat @ bhat.T
-    return co.eta * BE - co.mu * B1 - co.nu * B2
+    _, u0, u1 = state.theta_u()
+    return _as_matrix(bdn_entries(u0, u1, co))
 
 
 def nu_bound(eta, mu):
@@ -186,9 +185,9 @@ def bdn_causality_class(co, rtol=1e-12):
 class DissipationModel:
     """One dissipation tensor bound to its coefficients.
 
-    tag is one of 'ft-viscous', 'ft-heat', 'bdn', 'eckart'; matrix(state)
-    evaluates the planar profile matrix.  needs_eos marks the families
-    whose matrix depends on the equation of state.
+    tag is one of 'ft-viscous', 'ft-heat', 'bdn', 'eckart'; entries()
+    evaluates the planar profile matrix as four floats, matrix(state)
+    as a 2x2 array.
     """
 
     def __init__(self, tag, coefficients, eos=None):
@@ -212,12 +211,16 @@ class DissipationModel:
         else:
             raise ValueError(f"unknown dissipation tag {tag!r}")
 
-    def matrix(self, state):
+    def entries(self, t, u0, u1):
+        """(M00, M01, M10, M11) at temperature t, velocity (u0, u1)."""
         if self.tag == "bdn":
-            return profile_matrix_bdn(state, self.co)
+            return bdn_entries(u0, u1, self.co)
         if self.tag == "eckart":
-            return profile_matrix_eckart(state, self.eos, self.co)
-        return profile_matrix_ft(state, self.eos, self.co)
+            return eckart_entries(t, u0, u1, self.co)
+        return ft_entries(t, u0, u1, self.eos, self.co)
+
+    def matrix(self, state):
+        return _as_matrix(self.entries(*state.theta_u()))
 
     def describe(self):
         if self.tag == "bdn":

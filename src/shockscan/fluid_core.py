@@ -136,7 +136,9 @@ class PolynomialEos(BarotropicEos):
     """ptilde(theta) = sum of c_i * theta^k_i with rational coefficients.
 
     Coefficients are kept as Fractions so that test fixtures built from
-    expression files evaluate reproducibly.
+    expression files evaluate reproducibly.  The coefficient of each
+    derivative, c k (k-1)..., is formed as a Fraction and rounded to a
+    float once, at construction, together with its exponent.
     """
 
     def __init__(self, terms, name=None):
@@ -146,22 +148,26 @@ class PolynomialEos(BarotropicEos):
             raise EosError("empty polynomial EOS")
         if name:
             self.name = name
+        self._p = tuple((float(c), float(k)) for c, k in self.terms)
+        self._dp = tuple((float(c * k), float(k) - 1.0)
+                         for c, k in self.terms)
+        self._d2p = tuple((float(c * k * (k - 1)), float(k) - 2.0)
+                          for c, k in self.terms)
+        self._d3p = tuple((float(c * k * (k - 1) * (k - 2)), float(k) - 3.0)
+                          for c, k in self.terms)
         super().__init__()
 
     def p(self, theta):
-        return sum(float(c) * theta ** float(k) for c, k in self.terms)
+        return sum(c * theta ** k for c, k in self._p)
 
     def dp(self, theta):
-        return sum(float(c * k) * theta ** (float(k) - 1.0)
-                   for c, k in self.terms)
+        return sum(c * theta ** k for c, k in self._dp)
 
     def d2p(self, theta):
-        return sum(float(c * k * (k - 1)) * theta ** (float(k) - 2.0)
-                   for c, k in self.terms)
+        return sum(c * theta ** k for c, k in self._d2p)
 
     def d3p(self, theta):
-        return sum(float(c * k * (k - 1) * (k - 2)) * theta ** (float(k) - 3.0)
-                   for c, k in self.terms)
+        return sum(c * theta ** k for c, k in self._d3p)
 
 
 class MonomialEos(PolynomialEos):
@@ -178,15 +184,19 @@ class MonomialEos(PolynomialEos):
             raise EosError("monomial EOS needs exponent k > 1")
         self.coef = Fraction(coef)
         self.k = Fraction(k)
+        # rho = (k-1) coef theta^k, folded like the polynomial terms
+        self._rho = (float(self.coef * (self.k - 1)), float(self.k))
+        self._inv_k = 1.0 / float(self.k)
         super().__init__([(coef, k)], name=name or f"power-law:{k}")
 
     def rho(self, theta):
-        return float(self.coef * (self.k - 1)) * theta ** float(self.k)
+        c, k = self._rho
+        return c * theta ** k
 
     def theta_of_rho(self, rho):
         if rho <= 0.0:
             raise EosError(f"rho must be positive, got {rho:g}")
-        return (rho / float(self.coef * (self.k - 1))) ** (1.0 / float(self.k))
+        return (rho / self._rho[0]) ** self._inv_k
 
     def p_hat(self, rho):
         return rho / float(self.k - 1)
@@ -234,12 +244,12 @@ def parse_eos_expression(text, name=None):
             raise EosError("empty term in EOS expression")
         coef, _, power = part.partition("theta")
         coef = coef.rstrip("*")
-        c = Fraction(coef) if coef else Fraction(1)
+        c = _rational(coef, f"term {part!r}") if coef else Fraction(1)
         if _ == "":
             # constant term has no theta factor
             k = Fraction(0)
         elif power.startswith("^"):
-            k = Fraction(power[1:])
+            k = _rational(power[1:], f"term {part!r}")
         elif power == "":
             k = Fraction(1)
         else:
@@ -248,12 +258,20 @@ def parse_eos_expression(text, name=None):
     return PolynomialEos(terms, name=name or "file-eos")
 
 
+def _rational(text, what):
+    """Fraction(text), or EosError naming what was being parsed."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise EosError(f"cannot parse {what}") from None
+
+
 def make_eos(spec):
     """EOS from a name: 'radiation', 'power-law:K', or 'file:PATH'."""
     if spec == "radiation":
         return radiation_eos()
     if spec.startswith("power-law:"):
-        k = Fraction(spec.split(":", 1)[1])
+        k = _rational(spec.split(":", 1)[1], f"exponent of {spec!r}")
         return MonomialEos(1, k)
     if spec.startswith("file:"):
         path = spec.split(":", 1)[1]
@@ -291,6 +309,11 @@ class FluidState:
     def u(self):
         return self.theta * self.psi
 
+    def theta_u(self):
+        """(theta, u^0, u^1) as floats."""
+        t = self.theta
+        return t, t * self.psi0, t * self.psi1
+
     @classmethod
     def from_cov(cls, w):
         return cls(-w[0], w[1])
@@ -313,8 +336,12 @@ def ideal_stress(state, eos):
 
 
 def flux(state, eos):
-    """The alpha-column of the momentum flux, T^{a1}."""
-    return ideal_stress(state, eos)[:, 1]
+    """The alpha-column of the momentum flux, T^{a1}: column 1 of
+    ideal_stress, evaluated in the same order of operations."""
+    t = state.theta
+    c = t ** 3 * eos.dp(t)
+    psi1 = state.psi1
+    return np.array([c * (state.psi0 * psi1), c * (psi1 * psi1) + eos.p(t)])
 
 
 def stress_hessian(state, eos, beta):

@@ -19,6 +19,8 @@ Classification vocabulary used throughout:
     singular_matrix         det M(psi) vanished along the orbit
 """
 
+import math
+
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 
@@ -56,13 +58,12 @@ X_MAX = 1e9
 TOL_SPIRAL = 1e-3
 
 
-def _nonsingular_matrix(state, model, tol_det):
-    """M(psi) at state, or SingularMatrix when |det M| < tol_det * ||M||."""
-    M = model.matrix(state)
-    det = abs(np.linalg.det(M))
-    if det < tol_det * np.linalg.norm(M):
-        raise SingularMatrix(state.cov, det, 0.0)
-    return M
+def _det(m, tol_det):
+    """det M of the entries m = (M00, M01, M10, M11), and whether M
+    counts as singular: |det M| < tol_det * ||M|| (Frobenius norm)."""
+    m00, m01, m10, m11 = m
+    det = m00 * m11 - m01 * m10
+    return det, abs(det) < tol_det * math.hypot(m00, m01, m10, m11)
 
 
 def planar_rhs(w, shock, model, tol_det=1e-10):
@@ -70,12 +71,19 @@ def planar_rhs(w, shock, model, tol_det=1e-10):
 
     Raises DomainError outside psi0 > |psi1| and SingularMatrix when
     det M falls below tol_det * ||M||; the shooting solver relies on
-    the latter escaping through the integrator.
+    the latter escaping through the integrator.  The 2x2 system is
+    solved by Cramer's rule.
     """
     state = state_of_w(w)
-    M = _nonsingular_matrix(state, model, tol_det)
-    F = flux(state, shock.eos) - np.array([shock.q0, shock.q1])
-    return np.linalg.solve(M, F)
+    f0, f1 = flux(state, shock.eos).tolist()
+    f0 -= shock.q0
+    f1 -= shock.q1
+    m00, m01, m10, m11 = m = model.entries(*state.theta_u())
+    det, singular = _det(m, tol_det)
+    if singular:
+        raise SingularMatrix(state.cov, abs(det), 0.0)
+    return np.array([(m11 * f0 - m01 * f1) / det,
+                     (m00 * f1 - m10 * f0) / det])
 
 
 def lyapunov_eval(state, eos, q0, q1):
@@ -151,7 +159,10 @@ class RestPointReport:
 
 def rest_point_classify(label, state, model, eos, tol_det=1e-10):
     """Eigen-decompose the profile linearization at a rest state."""
-    M = _nonsingular_matrix(state, model, tol_det)
+    M = model.matrix(state)
+    det, singular = _det(M.ravel().tolist(), tol_det)
+    if singular:
+        raise SingularMatrix(state.cov, abs(det), 0.0)
     H1 = stress_hessian(state, eos, 1)
     lam, vec = np.linalg.eig(np.linalg.solve(M, H1))
     return RestPointReport(label, state, lam, vec)
@@ -492,7 +503,7 @@ def _diagnose_stall(w, direction, model, eos, q, tol_det, rbar, rho_floor,
     if rho >= rbar * (1.0 - 1e-9) or rho <= rho_floor * (1.0 + 1e-9):
         return "escaped_domain", "stalled at the admissible density bound"
     M = model.matrix(state)
-    d0 = np.linalg.det(M)
+    d0, _ = _det(M.ravel().tolist(), tol_det)
     tangent = direction * np.linalg.solve(M, flux(state, eos) - q)
     nt = np.linalg.norm(tangent)
     if nt > 0.0:
@@ -501,9 +512,9 @@ def _diagnose_stall(w, direction, model, eos, q, tol_det, rbar, rho_floor,
             wk = w + tangent * (amp * 1e-9 * 2.0 ** k)
             if -wk[0] - abs(wk[1]) <= 0.0:
                 break
-            Mk = model.matrix(FluidState(-wk[0], wk[1]))
-            dk = np.linalg.det(Mk)
-            if dk * d0 < 0.0 or abs(dk) < tol_det * np.linalg.norm(Mk):
+            mk = model.entries(*FluidState(-wk[0], wk[1]).theta_u())
+            dk, singular = _det(mk, tol_det)
+            if dk * d0 < 0.0 or singular:
                 return ("singular_matrix",
                         "orbit ran into the singular locus of the "
                         "profile matrix (det M changes sign ahead)")

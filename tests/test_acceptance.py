@@ -6,24 +6,29 @@ them.  Tolerances are part of the contract and are not to be loosened
 to make a failing item pass.
 """
 
+import csv
+import os
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from shockscan import (
     BdnCoefficients, FluidState, FtCoefficients, MonomialEos, PolynomialEos,
+    ScanRecord,
     bdn_causality_class, char_speeds, end_states, g_eval, gnl_indicator,
     lyapunov_eval, lyapunov_gradient, make_model, nu_bound, planar_rhs,
     radiation_eos, rest_point_classify, rho_bar, run_scan,
     scalar_profile_ft, shock_from_strength, shoot_heteroclinic, state_of_w,
-    stress_hessian, velocity_gradient,
+    stress_hessian,
 )
 from shockscan.dissipation import ft_coefficients_at
 from shockscan.fluid_core import G2
 
-from test_dissipation import bdn_matrix_full_tensor
+from test_dissipation import bdn_matrix_full_tensor, velocity_gradient
 
 RAD = radiation_eos()
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 STRENGTHS = [round(s, 2) for s in np.arange(0.05, 0.951, 0.05)]
 
 
@@ -237,7 +242,13 @@ def test_06_sharp_causality_scan_evidence():
     (1, 4/3, 4): the bound evaluates to 4 exactly, and a 50-point
     strength scan shows a contiguous upper range of non-monotone
     profiles with the threshold reported and the evidence flagged as
-    non-proof."""
+    non-proof.
+
+    Regression: the records match data/test_06_bdn_scan.csv, the
+    scan.csv this grid gave with the projector-assembled matrices.
+    End states, classification and reason are exact; width (linear
+    interpolation between samples) within 2e-3 relative, arclength
+    within 1e-7 and n_steps within 5% per point."""
     assert nu_bound(1.0, 4.0 / 3.0) == 4.0
     res = run_scan("radiation", "bdn",
                    {"eta": 1.0, "mu": 4.0 / 3.0, "nu": 4.0},
@@ -251,9 +262,27 @@ def test_06_sharp_causality_scan_evidence():
     assert contiguous, counts
     d = res.summary_dict()
     assert "not a proof" in d["note"]
+
+    with open(os.path.join(DATA, "test_06_bdn_scan.csv"), newline="") as fh:
+        ref = list(csv.DictReader(fh))
+    assert len(ref) == len(res.records)
+    tols = {"width": 2e-3, "arclength": 1e-7, "n_steps": 0.05}
+    worst = dict.fromkeys(tols, 0.0)
+    for rec, want in zip(res.records, ref):
+        got = dict(zip(ScanRecord.CSV_FIELDS, rec.csv_row()))
+        for key in ("q1", "strength", "q0", "rho_minus", "rho_plus",
+                    "classification", "reason"):
+            assert got[key] == want[key], (rec.strength, key)
+        for key, tol in tols.items():
+            err = abs(float(got[key]) / float(want[key]) - 1.0)
+            assert err <= tol, (rec.strength, key, got[key], want[key])
+            worst[key] = max(worst[key], err)
     _verdict(True,
              f"06 boundary-causal scan: {counts}, threshold s* = "
-             f"{s_star:.4g}, contiguous upper range, flagged non-proof")
+             f"{s_star:.4g}, contiguous upper range, flagged non-proof; "
+             "matches the reference scan (relative width "
+             f"{worst['width']:.1e}, arclength {worst['arclength']:.1e}, "
+             f"n_steps {worst['n_steps']:.1%})")
 
 
 # 07 ---------------------------------------------------------------

@@ -1,18 +1,21 @@
 """Dissipation tensors, their planar matrices, causality classes."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from shockscan import (
     BdnCoefficients, CausalityError, DissipationModel, EosError,
-    FluidState, FtCoefficients, MonomialEos, PolynomialEos,
-    bdn_causality_class, ft_coefficients_at, make_model, nu_bound,
-    profile_matrix_bdn, profile_matrix_eckart, profile_matrix_ft,
-    radiation_eos, velocity_gradient,
+    FluidState, FtCoefficients, MonomialEos, PolynomialEos, SingularMatrix,
+    bdn_causality_class, ft_coefficients_at, ideal_stress, make_model,
+    nu_bound, planar_rhs, profile_matrix_bdn, profile_matrix_eckart,
+    profile_matrix_ft, radiation_eos, shock_from_strength,
 )
 from shockscan.fluid_core import G2
 
 RAD = radiation_eos()
+SOFT = MonomialEos(1, Fraction(5, 2))
 REST = FluidState(1.0, 0.0)
 
 
@@ -43,6 +46,76 @@ def bdn_matrix_full_tensor(state, eta, mu, nu):
     B2 = np.einsum('abe,cde->abcd', A, Bt)
     Mfull = eta * BE - mu * B1 - nu * B2
     return Mfull[0:2, 1, 0:2, 1]
+
+
+# Reference implementations of the causal (ft) and Eckart matrices: the
+# term-by-term projector assembly the package used before its closed
+# forms, kept as oracles for them.
+
+def velocity_gradient(state):
+    """d U_d / d psi_c as a 2x2 array, rows d (lower), columns c (upper)."""
+    t = state.theta
+    return t * np.eye(2) + t ** 3 * np.outer(state.cov, state.psi)
+
+
+def _projector(state):
+    U = state.u
+    return G2 + np.outer(U, U), U
+
+
+def _shear_bulk_block(Pi, eta, zeta):
+    """Shear and bulk part of the planar tensor before the velocity
+    gradient; the causal tensor passes its effective zeta_check, the
+    Eckart tensor the bare zeta."""
+    return (eta * (Pi[1, 1] * Pi + np.outer(Pi[:, 1], Pi[1, :]))
+            + (zeta - 2.0 * eta / 3.0) * np.outer(Pi[:, 1], G2[1, :]))
+
+
+def ft_matrix_reference(state, eos, co):
+    """Causal viscosity/heat-conduction matrix, assembled term by term."""
+    Pi, U = _projector(state)
+    t = state.theta
+    sigma, zeta_check = ft_coefficients_at(state, eos, co)
+    g1 = G2[1, :]
+    W = (_shear_bulk_block(Pi, co.eta, zeta_check)
+         + sigma * (U[1] * np.outer(U, g1)
+                    - U[1] * (Pi * U[1] + np.outer(U, Pi[1, :]))))
+    M = W @ velocity_gradient(state)
+    if co.chi:
+        # heat flux enters through the temperature gradient alone
+        M = M + co.chi * np.outer(U, t ** 3 * state.psi)
+    return M
+
+
+def eckart_matrix_reference(state, eos, co):
+    """Eckart matrix: the shear/bulk block with the bare zeta, heat
+    coupled through the projected temperature gradient."""
+    Pi, U = _projector(state)
+    t = state.theta
+    M = _shear_bulk_block(Pi, co.eta, co.zeta) @ velocity_gradient(state)
+    if co.chi:
+        vec = Pi[:, 1] * U[1] + Pi[1, 1] * U
+        M = M + co.chi * np.outer(vec, t ** 3 * state.psi)
+    return M
+
+
+def random_case(rng, family):
+    """(model, reference matrix function of a state) for one family,
+    with random coefficients; ft and Eckart alternate two EOS."""
+    if family == "bdn":
+        eta, mu, nu = rng.uniform(0.2, 3.0, size=3)
+        co = BdnCoefficients(eta, mu, nu)
+        return (DissipationModel("bdn", co, RAD),
+                lambda st: bdn_matrix_full_tensor(st, eta, mu, nu))
+    eos = RAD if rng.random() < 0.5 else SOFT
+    chi = 0.0 if family == "ft-viscous" else rng.uniform(0.1, 2.0)
+    co = FtCoefficients(rng.uniform(0.2, 3.0), rng.uniform(0.0, 2.0), chi)
+    ref = (eckart_matrix_reference if family == "eckart"
+           else ft_matrix_reference)
+    return DissipationModel(family, co, eos), lambda st: ref(st, eos, co)
+
+
+FAMILIES = ("bdn", "ft-heat", "ft-viscous", "eckart")
 
 
 # ------------------------------------------------------- coefficients
@@ -150,16 +223,64 @@ def test_eckart_rest_matrices():
 
 
 def test_eckart_differs_from_ft_by_effective_viscosity():
-    # same shear/bulk block, bare zeta instead of zeta_check
+    # without heat conduction both are multiples of the projector:
+    # Mf = sigma theta Pi and Me = ((4/3) eta + zeta) theta u0^2 Pi, so
+    # Mf - Me = theta ((zeta_check - zeta) - ((4/3) eta + zeta) u1^2) Pi;
+    # the bulk correction zeta_check - zeta alone holds only at rest
     rng = np.random.default_rng(21)
-    st = random_state(rng)
-    co = FtCoefficients(1.0, 0.5)
-    Me = profile_matrix_eckart(st, RAD, co)
-    sigma, zc = ft_coefficients_at(st, RAD, co)
-    co_equiv = FtCoefficients(1.0, 0.5)
-    Mf = profile_matrix_ft(st, RAD, co_equiv)
-    # they disagree exactly by the (zeta_check - zeta) bulk correction
-    assert not np.allclose(Me, Mf, rtol=1e-3)
+    for _ in range(50):
+        st = random_state(rng)
+        co = FtCoefficients(rng.uniform(0.2, 3.0), rng.uniform(0.0, 2.0))
+        _, zc = ft_coefficients_at(st, RAD, co)
+        t, u0, u1 = st.theta_u()
+        Pi = G2 + np.outer([u0, u1], [u0, u1])
+        bulk = (zc - co.zeta) - (4.0 * co.eta / 3.0 + co.zeta) * u1 ** 2
+        want = t * bulk * Pi
+        diff = (profile_matrix_ft(st, RAD, co)
+                - profile_matrix_eckart(st, RAD, co))
+        assert np.abs(diff - want).max() <= 1e-12 * max(1.0,
+                                                        np.abs(want).max())
+
+
+# ------------------------------------------------------- closed forms
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_closed_form_matches_reference(family):
+    # closed-form entries against the term-by-term assembly (ft, Eckart)
+    # or the full-tensor contraction (BDN), 200 random states
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        model, ref = random_case(rng, family)
+        st = random_state(rng)
+        O = ref(st)
+        M = model.matrix(st)
+        assert np.abs(M - O).max() <= 1e-12 * max(1.0, np.abs(O).max())
+        assert np.array_equal(M.ravel(), model.entries(*st.theta_u()))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_planar_rhs_matches_reference_solve(family):
+    # Cramer's rule on the closed form against np.linalg.solve on the
+    # reference matrix, with the flux read off the ideal stress tensor;
+    # the rank-one ft-viscous matrix must trip the singularity guard
+    rng = np.random.default_rng(37)
+    shocks = {RAD: shock_from_strength(RAD, 3.0, 0.5),
+              SOFT: shock_from_strength(SOFT, 1.0, 0.5)}
+    for _ in range(200):
+        model, ref = random_case(rng, family)
+        shock = shocks[model.eos]
+        st = random_state(rng)
+        O = ref(st)
+        if abs(np.linalg.det(O)) < 1e-10 * np.linalg.norm(O):
+            assert family == "ft-viscous"
+            with pytest.raises(SingularMatrix):
+                planar_rhs(st.cov, shock, model)
+            continue
+        assert family != "ft-viscous"
+        F = ideal_stress(st, shock.eos)[:, 1] - [shock.q0, shock.q1]
+        want = np.linalg.solve(O, F)
+        got = planar_rhs(st.cov, shock, model)
+        assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
 
 
 # ------------------------------------------------------- BDN

@@ -1,5 +1,6 @@
 """EOS layer, state kinematics, stress tensors."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -91,6 +92,51 @@ def test_p_hat_second_derivative_fd():
         assert eos.p_hat_pp(rho) == pytest.approx(fd, rel=1e-6)
 
 
+class FractionPolynomial(PolynomialEos):
+    """Evaluates the Fraction coefficient products on every call, as the
+    EOS layer did before folding them at construction."""
+
+    def p(self, theta):
+        return sum(float(c) * theta ** float(k) for c, k in self.terms)
+
+    def dp(self, theta):
+        return sum(float(c * k) * theta ** (float(k) - 1.0)
+                   for c, k in self.terms)
+
+    def d2p(self, theta):
+        return sum(float(c * k * (k - 1)) * theta ** (float(k) - 2.0)
+                   for c, k in self.terms)
+
+    def d3p(self, theta):
+        return sum(float(c * k * (k - 1) * (k - 2)) * theta ** (float(k) - 3.0)
+                   for c, k in self.terms)
+
+
+class FractionMonomial(FractionPolynomial, MonomialEos):
+    def rho(self, theta):
+        return float(self.coef * (self.k - 1)) * theta ** float(self.k)
+
+    def theta_of_rho(self, rho):
+        return (rho / float(self.coef * (self.k - 1))) ** (1.0 / float(self.k))
+
+
+@pytest.mark.parametrize("folded, ref", [
+    (radiation_eos(), FractionMonomial(Fraction(1, 3), 4)),
+    (make_eos("power-law:5/2"), FractionMonomial(1, Fraction(5, 2))),
+    (parse_eos_expression("p(theta) = 1/3*theta^4 + 7/10*theta^3"),
+     FractionPolynomial([(Fraction(1, 3), 4), (Fraction(7, 10), 3)])),
+], ids=["radiation", "power-law:5/2", "polynomial"])
+def test_folded_coefficients_bit_exact(folded, ref):
+    # each folded coefficient is the Fraction product rounded once, so
+    # every evaluation equals the per-call Fraction evaluation exactly;
+    # 7/10 makes a product of rounded factors differ (0.7 * 6 != 4.2)
+    for t in np.geomspace(1e-3, 1e3, 100):
+        for name in ("p", "dp", "d2p", "d3p", "rho"):
+            assert getattr(folded, name)(t) == getattr(ref, name)(t), (name, t)
+        rho = ref.rho(t)
+        assert folded.theta_of_rho(rho) == ref.theta_of_rho(rho), t
+
+
 # ------------------------------------------------------- parsing
 
 def test_parse_expression_radiation():
@@ -118,6 +164,15 @@ def test_parse_expression_errors():
         parse_eos_expression("q(theta) = theta^2")
     with pytest.raises(EosError):
         parse_eos_expression("p(theta) = theta**2")
+    # malformed rationals name the term instead of escaping as a bare
+    # ValueError or ZeroDivisionError
+    for text, term in (("p(theta) = theta^", "theta^"),
+                       ("p(theta) = theta^4 - theta^3", "theta^4-theta^3"),
+                       ("p(theta) = 1/0*theta^4", "1/0*theta^4")):
+        with pytest.raises(EosError, match=re.escape(repr(term))):
+            parse_eos_expression(text)
+    with pytest.raises(EosError, match="power-law:abc"):
+        make_eos("power-law:abc")
 
 
 def test_make_eos_dispatch(tmp_path):
