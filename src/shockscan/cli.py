@@ -31,6 +31,7 @@ from .fluid_core import EosError, make_eos
 from .rankine_hugoniot import NoShock, end_states, shock_from_strength
 from .dissipation import (CausalityError, BdnCoefficients, make_model,
                           bdn_causality_class)
+from .profile_dynamics import _default_settings
 from .scan import compute_profile, run_scan
 
 EXIT_OK = 0
@@ -86,7 +87,9 @@ def build_parser():
             p.add_argument("--tol-osc", type=fracfloat, dest="tol_osc")
             p.add_argument("--tol-rtol", type=fracfloat, dest="rtol")
             p.add_argument("--tol-atol", type=fracfloat, dest="atol")
-            p.add_argument("--method", help="integrator (default RK45)")
+            p.add_argument("--method",
+                           help="integrator: RK45 (default), RK23, DOP853, "
+                                "Radau, BDF or LSODA")
             p.add_argument("--gnuplot", action="store_true", default=None,
                            help="also write a gnuplot script")
 
@@ -226,9 +229,11 @@ def cmd_rh(args):
 
 
 def cmd_profile(args):
+    settings = _given(args, SOLVER_SETTINGS)
+    _default_settings(**settings)   # reject a bad method before solving
     eos, sd = _make_shock(args)
     model = _make_model(args, eos)
-    res = compute_profile(sd, model, **_given(args, SOLVER_SETTINGS))
+    res = compute_profile(sd, model, **settings)
     out = _outdir(args)
     jpath = os.path.join(out, "profile.json")
     with open(jpath, "w") as fh:

@@ -187,6 +187,8 @@ class MonomialEos(PolynomialEos):
         # rho = (k-1) coef theta^k, folded like the polynomial terms
         self._rho = (float(self.coef * (self.k - 1)), float(self.k))
         self._inv_k = 1.0 / float(self.k)
+        # p_hat = rho / (k-1), with the divisor rounded once
+        self._k1 = float(self.k - 1)
         super().__init__([(coef, k)], name=name or f"power-law:{k}")
 
     def rho(self, theta):
@@ -199,10 +201,10 @@ class MonomialEos(PolynomialEos):
         return (rho / self._rho[0]) ** self._inv_k
 
     def p_hat(self, rho):
-        return rho / float(self.k - 1)
+        return rho / self._k1
 
     def p_hat_p(self, rho):
-        return 1.0 / float(self.k - 1)
+        return 1.0 / self._k1
 
     def p_hat_pp(self, rho):
         return 0.0

@@ -24,7 +24,8 @@ import math
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 
-from .fluid_core import FluidState, stress_hessian, flux
+from . import rk45
+from .fluid_core import DomainError, FluidState, stress_hessian, flux
 from .rankine_hugoniot import u1_of_rho
 from .dissipation import (DissipationModel, ft_coefficients_at,
                           CausalityError)
@@ -67,23 +68,28 @@ def _det(m, tol_det):
 
 
 def planar_rhs(w, shock, model, tol_det=1e-10):
-    """dw/dx = M(psi)^-1 F(w) of the profile system at covariant w.
+    """dw/dx = M(psi)^-1 F(w) of the profile system at covariant w, as
+    a pair of floats.
 
     Raises DomainError outside psi0 > |psi1| and SingularMatrix when
     det M falls below tol_det * ||M||; the shooting solver relies on
-    the latter escaping through the integrator.  The 2x2 system is
-    solved by Cramer's rule.
+    the latter escaping through the integrator.  theta, u and the flux
+    are those of FluidState and fluid_core.flux, written out in the
+    same order of operations; the 2x2 system is solved by Cramer's rule.
     """
-    state = state_of_w(w)
-    f0, f1 = flux(state, shock.eos).tolist()
-    f0 -= shock.q0
-    f1 -= shock.q1
-    m00, m01, m10, m11 = m = model.entries(*state.theta_u())
+    psi0, psi1 = -w[0], w[1]
+    if not psi0 > abs(psi1):
+        raise DomainError(f"state ({psi0:g}, {psi1:g}) outside psi0 > |psi1|")
+    t = (psi0 ** 2 - psi1 ** 2) ** -0.5
+    eos = shock.eos
+    c = t ** 3 * eos.dp(t)
+    f0 = c * (psi0 * psi1) - shock.q0
+    f1 = c * (psi1 * psi1) + eos.p(t) - shock.q1
+    m00, m01, m10, m11 = m = model.entries(t, t * psi0, t * psi1)
     det, singular = _det(m, tol_det)
     if singular:
-        raise SingularMatrix(state.cov, abs(det), 0.0)
-    return np.array([(m11 * f0 - m01 * f1) / det,
-                     (m00 * f1 - m10 * f0) / det])
+        raise SingularMatrix((w[0], w[1]), abs(det), 0.0)
+    return (m11 * f0 - m01 * f1) / det, (m00 * f1 - m10 * f0) / det
 
 
 def lyapunov_eval(state, eos, q0, q1):
@@ -227,6 +233,11 @@ class ProfileResult:
         return d
 
 
+# integrators a profile can run on: RK45 is the package's own stepper,
+# the others are solve_ivp's
+METHODS = ("RK45", "RK23", "DOP853", "Radau", "BDF", "LSODA")
+
+
 def _default_settings(**overrides):
     s = dict(rtol=1e-10, atol=1e-12, tol_conn=1e-6, tol_det=1e-10,
              tol_osc=1e-6, method="RK45")
@@ -235,7 +246,24 @@ def _default_settings(**overrides):
             raise TypeError(f"unknown solver setting {k!r}")
         if v is not None:
             s[k] = v
+    if s["method"] not in METHODS:
+        raise ValueError(f"unknown integrator {s['method']!r} "
+                         f"(one of {', '.join(METHODS)})")
     return s
+
+
+def _integrate(fun, t_bound, y0, events, method, rtol, atol):
+    """Integrate dy/dx = fun(x, y) from x = 0 toward t_bound; every
+    event is terminal.  RK45 runs on rk45.integrate, any other method
+    on solve_ivp; both results carry t, y, status and t_events.
+
+    fun sees y as a list of floats either way: float arithmetic on the
+    elements of an array costs more than the conversion.
+    """
+    if method == "RK45":
+        return rk45.integrate(fun, t_bound, y0, events, rtol, atol)
+    return solve_ivp(lambda x, y: fun(x, y.tolist()), (0.0, t_bound), y0,
+                     method=method, events=events, rtol=rtol, atol=atol)
 
 
 def scalar_profile_ft(shock, co, **overrides):
@@ -300,9 +328,9 @@ def scalar_profile_ft(shock, co, **overrides):
         return y[0] - cut_lo
     ev_lo.terminal = True
 
-    kw = dict(rtol=st["rtol"], atol=st["atol"] * amp, method=st["method"])
-    fwd = solve_ivp(rhs, (0.0, X_MAX), [rho_mid], events=[ev_hi], **kw)
-    bwd = solve_ivp(rhs, (0.0, -X_MAX), [rho_mid], events=[ev_lo], **kw)
+    kw = dict(method=st["method"], rtol=st["rtol"], atol=st["atol"] * amp)
+    fwd = _integrate(rhs, X_MAX, [rho_mid], [ev_hi], **kw)
+    bwd = _integrate(rhs, -X_MAX, [rho_mid], [ev_lo], **kw)
     xs = np.concatenate([bwd.t[::-1], fwd.t[1:]])
     rho = np.concatenate([bwd.y[0, ::-1], fwd.y[0, 1:]])
 
@@ -396,21 +424,25 @@ def shoot_heteroclinic(shock, model, **overrides):
     tol_conn = st["tol_conn"] * amp
     tol_det = st["tol_det"]
 
+    tgt0, tgt1 = float(tgt[0]), float(tgt[1])
+    nan3 = (math.nan,) * 3
+
     def rhs(x, y):
-        w = y[:2]
-        if -w[0] - abs(w[1]) <= 0.0:
+        if not -y[0] > abs(y[1]):
             # trial step outside the state space: poison the step so
             # the controller shrinks it, the cone event ends the orbit
-            return [np.nan, np.nan, np.nan]
+            return nan3
         try:
-            dw = direction * planar_rhs(w, shock, model, tol_det)
+            d0, d1 = planar_rhs(y[:2], shock, model, tol_det)
         except SingularMatrix as exc:
-            exc.arclength = float(y[2])
+            exc.arclength = y[2]
             raise
-        return [dw[0], dw[1], float(np.hypot(dw[0], dw[1]))]
+        d0 *= direction
+        d1 *= direction
+        return d0, d1, math.hypot(d0, d1)
 
     def ev_conn(x, y):
-        return float(np.linalg.norm(y[:2] - tgt)) - tol_conn
+        return math.hypot(y[0] - tgt0, y[1] - tgt1) - tol_conn
     ev_conn.terminal = True
 
     def ev_cone(x, y):
@@ -431,10 +463,8 @@ def shoot_heteroclinic(shock, model, **overrides):
 
     y0 = np.array([src[0] + eps * v[0], src[1] + eps * v[1], 0.0])
     try:
-        sol = solve_ivp(rhs, (0.0, X_MAX), y0,
-                        events=[ev_conn, ev_cone, ev_rho, ev_arc],
-                        rtol=st["rtol"], atol=st["atol"],
-                        method=st["method"])
+        sol = _integrate(rhs, X_MAX, y0, [ev_conn, ev_cone, ev_rho, ev_arc],
+                         st["method"], st["rtol"], st["atol"])
     except SingularMatrix as exc:
         return ProfileResult("singular_matrix", shock, model,
                              reason=str(exc), rest_points=reports,

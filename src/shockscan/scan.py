@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 from .fluid_core import make_eos
 from .rankine_hugoniot import NoShock, shock_from_strength
 from .dissipation import make_model, CausalityError
-from .profile_dynamics import scalar_profile_ft, shoot_heteroclinic
+from .profile_dynamics import (_default_settings, scalar_profile_ft,
+                               shoot_heteroclinic)
 
 ENV_WORKERS = "SHOCKSCAN_WORKERS"
 
@@ -209,8 +210,10 @@ def run_scan(eos_spec, model_tag, co, q1_values, strengths,
     eos_spec and the coefficient dict stay primitive so points can be
     shipped to worker processes; the grid is traversed in lexicographic
     order and results keep that order whatever the worker count.  A
-    point that fails is recorded, never fatal.
+    point that fails is recorded, never fatal; invalid solver settings
+    raise before any point runs.
     """
+    _default_settings(**overrides)
     jobs = [(eos_spec, model_tag, dict(co), float(q1), float(s),
              dict(overrides))
             for q1 in q1_values for s in strengths]

@@ -396,8 +396,9 @@ def test_09_gradient_and_assembly_oracles():
             for j in range(2):
                 e = np.zeros(2)
                 e[j] = hh
-                J[:, j] = (planar_rhs(w + e, shock, model)
-                           - planar_rhs(w - e, shock, model)) / (2 * hh)
+                J[:, j] = (np.asarray(planar_rhs(w + e, shock, model))
+                           - np.asarray(planar_rhs(w - e, shock, model))
+                           ) / (2 * hh)
             err = np.abs(A - J).max() / np.abs(A).max()
             assert err < 1e-5, (label, model.tag, err)
             worst_b = max(worst_b, err)

@@ -12,6 +12,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "perfbench"))
 
 import tracing  # noqa: E402
 
+from shockscan import (make_model, profile_dynamics,  # noqa: E402
+                       radiation_eos, shock_from_strength)
+
 
 def _current():
     return [vars(owner).get(attr) for owner, attr, _ in tracing.PATCHES]
@@ -30,3 +33,18 @@ def test_installed_restores_originals():
         during = _current()
     assert all(d is not b for d, b in zip(during, before))
     assert all(a is b for a, b in zip(_current(), before))
+
+
+def test_shot_evaluates_patched_planar_rhs():
+    # the shooting closure must look planar_rhs up by its module name on
+    # every evaluation, or the traced RHS spans go missing; each
+    # accepted RK45 step costs six evaluations
+    eos = radiation_eos()
+    shock = shock_from_strength(eos, 1.0, 0.5)
+    model = make_model("bdn", eos, eta=1.0, mu=4.0 / 3.0, nu=4.0)
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        res = profile_dynamics.shoot_heteroclinic(shock, model)
+    calls = tracer.totals()["profile_dynamics.planar_rhs"][0]
+    assert res.connected
+    assert calls >= 6 * (res.n_steps - 1) > 0

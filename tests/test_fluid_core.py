@@ -119,6 +119,12 @@ class FractionMonomial(FractionPolynomial, MonomialEos):
     def theta_of_rho(self, rho):
         return (rho / float(self.coef * (self.k - 1))) ** (1.0 / float(self.k))
 
+    def p_hat(self, rho):
+        return rho / float(self.k - 1)
+
+    def p_hat_p(self, rho):
+        return 1.0 / float(self.k - 1)
+
 
 @pytest.mark.parametrize("folded, ref", [
     (radiation_eos(), FractionMonomial(Fraction(1, 3), 4)),
@@ -134,7 +140,9 @@ def test_folded_coefficients_bit_exact(folded, ref):
         for name in ("p", "dp", "d2p", "d3p", "rho"):
             assert getattr(folded, name)(t) == getattr(ref, name)(t), (name, t)
         rho = ref.rho(t)
-        assert folded.theta_of_rho(rho) == ref.theta_of_rho(rho), t
+        for name in ("theta_of_rho", "p_hat", "p_hat_p"):
+            assert getattr(folded, name)(rho) == getattr(ref, name)(rho), \
+                (name, t)
 
 
 # ------------------------------------------------------- parsing

@@ -1,12 +1,17 @@
 """Profile ODE: scalar quadrature, heteroclinic shooting, classification."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.integrate import RK45, solve_ivp
+from scipy.integrate._ivp.common import norm
+from scipy.integrate._ivp.rk import rk_step
 
 from shockscan import (
     DomainError, FluidState, FtCoefficients, MonomialEos, SingularMatrix,
     lyapunov_eval, lyapunov_gradient, make_model, oscillation_detect,
-    planar_rhs, radiation_eos, rest_point_classify, scalar_profile_ft,
+    planar_rhs, radiation_eos, rest_point_classify, rk45, scalar_profile_ft,
     shock_from_strength, shoot_heteroclinic, state_of_w,
 )
 
@@ -228,3 +233,163 @@ def test_oscillation_detect():
     x = np.linspace(0.0, 20.0, 200)
     assert oscillation_detect(1.0 - np.exp(-x) * np.cos(3 * x))
     assert not oscillation_detect(np.array([1.0]))
+
+
+# ------------------------------------------------------- RK45 stepper
+# rk45.integrate against scipy's RK45, the scheme it copies
+
+def scipy_rk45(fun, t_bound, y0, events, rtol, atol):
+    """rk45.integrate's contract, run by solve_ivp(method="RK45")."""
+    return solve_ivp(lambda t, y: fun(t, y.tolist()), (0.0, t_bound), y0,
+                     method="RK45", events=events, rtol=rtol, atol=atol)
+
+
+def test_rk45_step_matches_scipy(shock_rad):
+    m = make_model("ft-heat", RAD, eta=1.0, chi=0.5)
+
+    def fun(t, y):
+        return planar_rhs(y, shock_rad, m)
+
+    rtol, atol = 1e-10, 1e-12
+    w = 0.5 * (shock_rad.state_minus.cov + shock_rad.state_plus.cov)
+    w[1] += 0.1
+    y = w.tolist()
+    f = fun(0.0, y)
+    for h in (1e-3, 1e-2, -0.05):
+        y_new, f_new, K = rk45._rk_step(fun, 0.3, y, f, h)
+        err = rk45._error_norm(K, h, y, y_new, rtol, atol)
+        Kr = np.empty((RK45.n_stages + 1, 2))
+        yr, fr = rk_step(lambda t, v: np.array(fun(t, v.tolist())), 0.3,
+                         np.array(y), np.array(f), h, RK45.A, RK45.B,
+                         RK45.C, Kr)
+        # relative to the largest entry (max norm)
+        for got, want in ((y_new, yr), (f_new, fr), (K, Kr)):
+            gap = np.abs(np.asarray(got) - want).max()
+            assert gap <= 1e-14 * np.abs(want).max(), h
+        # the error estimate sums terms that nearly cancel (E sums to
+        # 0), so it is compared relative to the size of those terms
+        scale = atol + np.maximum(np.abs(y), np.abs(yr)) * rtol
+        err_ref = norm(np.dot(Kr.T, RK45.E) * h / scale)
+        terms = norm(np.dot(np.abs(Kr.T), np.abs(RK45.E)) * abs(h) / scale)
+        assert 0.0 < err and abs(err - err_ref) <= 1e-14 * terms, h
+
+
+@pytest.mark.parametrize("s", [0.05, 0.3, 0.6, 0.98])
+def test_rk45_bdn_shot_matches_scipy(s, monkeypatch):
+    # same steps as solve_ivp: classification and n_steps exact, orbit
+    # ends and arclength equal up to roundoff in the stage sums
+    sd = shock_from_strength(RAD, 1.0, s)
+    m = make_model("bdn", RAD, eta=1.0, mu=4.0 / 3.0, nu=4.0)
+    got = shoot_heteroclinic(sd, m)
+    monkeypatch.setattr(rk45, "integrate", scipy_rk45)
+    want = shoot_heteroclinic(sd, m)
+    assert got.classification == want.classification
+    assert got.connected
+    assert got.n_steps == want.n_steps
+    for i in (0, -1):
+        assert np.allclose(got.w[i], want.w[i], rtol=1e-12, atol=1e-12)
+    assert got.arclength == pytest.approx(want.arclength, rel=1e-12)
+
+
+def test_rk45_backward_scalar_run_matches_scipy(shock_rad, monkeypatch):
+    # the x < 0 half of the viscous profile is integrated backward
+    got = scalar_profile_ft(shock_rad, FtCoefficients(1.0))
+    monkeypatch.setattr(rk45, "integrate", scipy_rk45)
+    want = scalar_profile_ft(shock_rad, FtCoefficients(1.0))
+    assert got.n_steps == want.n_steps
+    assert np.sum(got.x < 0.0) == np.sum(want.x < 0.0) > 10
+    # the end samples sit on the event densities; in between, step
+    # sizes follow the error estimate, whose roundoff is relative to
+    # terms that nearly cancel, so the sample positions agree less
+    # closely than the ends
+    for i in (0, -1):
+        assert got.rho[i] == pytest.approx(want.rho[i], rel=1e-12)
+    assert np.allclose(got.x, want.x, rtol=1e-6, atol=0.0)
+
+
+def _nan_past_one(t, y):
+    # a vector field defined only for y < 1, poisoned outside
+    return (1.0,) if y[0] < 1.0 else (math.nan,)
+
+
+def test_rk45_rejects_nan_trial_step():
+    poisoned = []
+
+    def fun(t, y):
+        f = _nan_past_one(t, y)
+        if math.isnan(f[0]):
+            poisoned.append(t)
+        return f
+
+    def ev(t, y):
+        return y[0] - 0.999
+    ev.terminal = True
+    sol = rk45.integrate(fun, 10.0, [0.0], [ev], 1e-10, 1e-12)
+    ref = scipy_rk45(_nan_past_one, 10.0, [0.0], [ev], 1e-10, 1e-12)
+    # trial steps crossed y = 1 and were rejected and shrunk: every
+    # accepted sample is finite and inside the domain
+    assert poisoned
+    assert np.all(np.isfinite(sol.y)) and np.all(sol.y < 1.0)
+    assert sol.status == ref.status == 1
+    assert sol.t_events[0] == pytest.approx([0.999], rel=1e-14)
+    assert sol.t.size == ref.t.size
+    assert np.allclose(sol.t, ref.t, rtol=1e-14, atol=0.0)
+
+
+def test_rk45_status_codes():
+    # -1: the step size underflows just short of the poisoned region
+    sol = rk45.integrate(_nan_past_one, 10.0, [0.0], [], 1e-10, 1e-12)
+    ref = scipy_rk45(_nan_past_one, 10.0, [0.0], [], 1e-10, 1e-12)
+    assert sol.status == ref.status == -1
+    assert sol.t.size == ref.t.size
+    assert 1.0 - 1e-12 < sol.y[0, -1] < 1.0
+    # 0: a backward run reaches t_bound with no event
+    sol = rk45.integrate(lambda t, y: [-y[0]], -3.0, [1.0], [], 1e-10, 1e-12)
+    ref = scipy_rk45(lambda t, y: [-y[0]], -3.0, [1.0], [], 1e-10, 1e-12)
+    assert sol.status == ref.status == 0
+    assert sol.t[-1] == -3.0 and sol.t.size == ref.t.size
+    assert sol.y[0, -1] == pytest.approx(math.exp(3.0), rel=1e-8)
+
+
+@pytest.mark.parametrize("fun, y0, tol", [
+    (lambda t, y: [1.0], 0.0, (1e-10, 1e-12)),       # h0 = 1e-6
+    (lambda t, y: [1e3], 1.0, (1e-3, 1e-6)),         # 100 h0
+    (lambda t, y: [-y[0]], 1.0, (1e-10, 1e-12)),     # from the curvature
+], ids=["from-zero", "hundred-h0", "curvature"])
+def test_rk45_initial_step_matches_scipy(fun, y0, tol):
+    # each branch of the initial step selection
+    sol = rk45.integrate(fun, 1.0, [y0], [], *tol)
+    ref = scipy_rk45(fun, 1.0, [y0], [], *tol)
+    assert sol.t[1] == pytest.approx(ref.t[1], rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("direction", [1.0, -1.0])
+def test_rk45_earliest_terminal_event_wins(direction):
+    # steps grow tenfold on a constant field, so one step crosses both
+    # levels; the later-listed event has the earlier root
+    def far(t, y):
+        return y[0] - 0.5 * direction
+    far.terminal = True
+
+    def near(t, y):
+        return y[0] - 0.4 * direction
+    near.terminal = True
+
+    def fun(t, y):
+        return [1.0]
+    sol = rk45.integrate(fun, 10.0 * direction, [0.0], [far, near],
+                         1e-10, 1e-12)
+    ref = scipy_rk45(fun, 10.0 * direction, [0.0], [far, near],
+                     1e-10, 1e-12)
+    assert sol.status == ref.status == 1
+    assert [len(te) for te in sol.t_events] == [0, 1]
+    assert [len(te) for te in ref.t_events] == [0, 1]
+    assert sol.t[-1] == sol.t_events[1][0] == pytest.approx(0.4 * direction)
+    assert sol.t.size == ref.t.size
+
+
+def test_rk45_events_must_be_terminal():
+    def ev(t, y):
+        return y[0]
+    with pytest.raises(ValueError, match="terminal"):
+        rk45.integrate(lambda t, y: [1.0], 1.0, [0.0], [ev], 1e-6, 1e-9)

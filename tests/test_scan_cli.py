@@ -171,6 +171,18 @@ def test_cli_config_errors(capsys, tmp_path):
                  "--chi", "0.5", "--mu", "2", "--out", str(tmp_path)]) == 1
     assert not (tmp_path / "profile.json").exists()
     assert "error:" in capsys.readouterr().err
+    # an unknown integrator is refused by name before any end state is
+    # solved; strength 0 has no shock, which would exit 2 if it were
+    assert main(["profile", "--eos", "radiation", "--q1", "3",
+                 "--strength", "0", "--model", "bdn", "--mu", "4/3",
+                 "--nu", "4", "--method", "foo", "--out", str(tmp_path)]) == 1
+    assert ("unknown integrator 'foo' (one of RK45, RK23, DOP853, Radau, "
+            "BDF, LSODA)") in capsys.readouterr().err
+    assert main(["scan", "--eos", "radiation", "--q1", "1", "--model", "bdn",
+                 "--mu", "4/3", "--nu", "4", "--strengths", "0.5",
+                 "--method", "foo", "--out", str(tmp_path)]) == 1
+    assert "unknown integrator 'foo'" in capsys.readouterr().err
+    assert not (tmp_path / "scan.csv").exists()
 
 
 # ------------------------------------------------------- CLI: profile
