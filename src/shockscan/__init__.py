@@ -39,25 +39,20 @@ from .dissipation import (
     DissipationModel,
     FtCoefficients,
     bdn_causality_class,
-    ft_coefficients_at,
+    ft_coefficients,
     make_model,
     nu_bound,
-    profile_matrix_bdn,
-    profile_matrix_eckart,
-    profile_matrix_ft,
 )
 from .profile_dynamics import (
     ProfileResult,
     RestPointReport,
     SingularMatrix,
     lyapunov_eval,
-    lyapunov_gradient,
     oscillation_detect,
     planar_rhs,
     rest_point_classify,
     scalar_profile_ft,
     shoot_heteroclinic,
-    state_of_w,
 )
 from .scan import (ScanRecord, ScanResult, compute_profile, resolve_workers,
                    run_scan)
@@ -72,13 +67,11 @@ __all__ = [
     "NoShock", "ShockData", "char_speeds", "end_states", "g_eval",
     "q_max", "rho_bar", "shock_from_strength", "u1_of_rho",
     "BdnCoefficients", "CausalityError", "DissipationModel",
-    "FtCoefficients", "bdn_causality_class", "ft_coefficients_at",
-    "make_model", "nu_bound", "profile_matrix_bdn",
-    "profile_matrix_eckart", "profile_matrix_ft",
+    "FtCoefficients", "bdn_causality_class", "ft_coefficients",
+    "make_model", "nu_bound",
     "ProfileResult", "RestPointReport", "SingularMatrix",
-    "lyapunov_eval", "lyapunov_gradient", "oscillation_detect",
-    "planar_rhs", "rest_point_classify", "scalar_profile_ft", "state_of_w",
-    "shoot_heteroclinic",
+    "lyapunov_eval", "oscillation_detect", "planar_rhs",
+    "rest_point_classify", "scalar_profile_ft", "shoot_heteroclinic",
     "ScanRecord", "ScanResult", "compute_profile", "resolve_workers",
     "run_scan",
     "__version__",

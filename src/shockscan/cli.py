@@ -308,8 +308,13 @@ def _write_gp(out, stem, xlabel, ylabel, using):
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, and 2 here means no shock
+        if exc.code == 2:
+            return EXIT_CONFIG
+        raise
     try:
         apply_config(args)
         if args.command == "rh":

@@ -49,8 +49,8 @@ class BdnCoefficients:
             raise ValueError("eta, mu, nu must all be positive")
 
 
-def ft_coefficients_at(state, eos, co):
-    """Effective coefficients (sigma, zeta_check) at a state.
+def ft_coefficients(t, eos, co):
+    """Effective coefficients (sigma, zeta_check) at temperature t.
 
         sigma      = ((4/3) eta + zeta) / (1 - cs^2) - cs^2 chi theta
         zeta_check = zeta + cs^2 sigma - cs^2 (1 - cs^2) chi theta
@@ -58,10 +58,6 @@ def ft_coefficients_at(state, eos, co):
     so that (4/3) eta + zeta_check = sigma identically.  Requires a
     subluminal sound speed; at cs^2 >= 1 the combination degenerates.
     """
-    return _ft_coefficients(state.theta, eos, co)
-
-
-def _ft_coefficients(t, eos, co):
     c2 = eos.cs2(t)
     if c2 >= 1.0:
         raise CausalityError(
@@ -82,7 +78,7 @@ def _ft_coefficients(t, eos, co):
 def ft_entries(t, u0, u1, eos, co):
     """Causal viscosity/heat-conduction tensor:
     M = sigma theta Pi + chi theta^2 U (x) U."""
-    s = _ft_coefficients(t, eos, co)[0] * t
+    s = ft_coefficients(t, eos, co)[0] * t
     h = co.chi * t * t
     m01 = (s + h) * u0 * u1
     return s * u1 * u1 + h * u0 * u0, m01, m01, s * u0 * u0 + h * u1 * u1
@@ -102,45 +98,11 @@ def eckart_entries(t, u0, u1, co):
 def bdn_entries(u0, u1, co):
     """BDN tensor for the radiation fluid:
     M = (4/3) eta u0^2 Pi - mu w (x) w - nu a (x) a,
-    w = (4 u0 u1, u0^2 + 3 u1^2), a = (u0^2 + u1^2, 2 u0 u1)."""
-    e = 4.0 * co.eta / 3.0 * u0 * u0
-    w0, w1 = 4.0 * u0 * u1, u0 * u0 + 3.0 * u1 * u1
-    a0, a1 = u0 * u0 + u1 * u1, 2.0 * u0 * u1
-    m01 = e * u1 * u0 - co.mu * w0 * w1 - co.nu * a0 * a1
-    return (e * u1 * u1 - co.mu * w0 * w0 - co.nu * a0 * a0, m01, m01,
-            e * u0 * u0 - co.mu * w1 * w1 - co.nu * a1 * a1)
+    w = (4 u0 u1, u0^2 + 3 u1^2), a = (u0^2 + u1^2, 2 u0 u1).
 
-
-def _as_matrix(m):
-    return np.array(m).reshape(2, 2)
-
-
-def profile_matrix_ft(state, eos, co):
-    """Planar matrix of the causal viscosity/heat-conduction tensor,
-    sigma theta Pi + chi theta^2 U (x) U."""
-    t, u0, u1 = state.theta_u()
-    return _as_matrix(ft_entries(t, u0, u1, eos, co))
-
-
-def profile_matrix_eckart(state, eos, co):
-    """Planar matrix of the classical first-order (Eckart) tensor.
-
-    The shear/bulk part is the causal one with the bare zeta in place
-    of zeta_check; heat conduction couples through the projected
-    temperature gradient.  Not positive definite in general; kept for
-    side-by-side comparisons, not used by the solvers.
-    """
-    t, u0, u1 = state.theta_u()
-    return _as_matrix(eckart_entries(t, u0, u1, co))
-
-
-def profile_matrix_bdn(state, co):
-    """Planar matrix of the BDN tensor (pure radiation fluid).
-
-    The three blocks are the (a, c) slices at fixed b = d = 1 of the
-    shear kernel and the two regulators; in the t-x plane each reduces
-    to a rank-one term.  Unlike the viscous matrices this one is
-    indefinite.  With b = u^1 = theta psi^1 its determinant is
+    The three terms are the (a, c) slices at fixed b = d = 1 of the
+    shear kernel and the two regulators.  Unlike the viscous matrices
+    this one is indefinite.  With b = u^1 its determinant is
 
         det M = -(A b^4 + B b^2 + C) / 3,
         A = 36 eta mu + 4 eta nu - 12 mu nu,
@@ -155,8 +117,12 @@ def profile_matrix_bdn(state, co):
     b != 0 when nu < 4 eta.  tests/test_dissipation.py certifies these
     forms symbolically.
     """
-    _, u0, u1 = state.theta_u()
-    return _as_matrix(bdn_entries(u0, u1, co))
+    e = 4.0 * co.eta / 3.0 * u0 * u0
+    w0, w1 = 4.0 * u0 * u1, u0 * u0 + 3.0 * u1 * u1
+    a0, a1 = u0 * u0 + u1 * u1, 2.0 * u0 * u1
+    m01 = e * u1 * u0 - co.mu * w0 * w1 - co.nu * a0 * a1
+    return (e * u1 * u1 - co.mu * w0 * w0 - co.nu * a0 * a0, m01, m01,
+            e * u0 * u0 - co.mu * w1 * w1 - co.nu * a1 * a1)
 
 
 def nu_bound(eta, mu):
@@ -220,7 +186,7 @@ class DissipationModel:
         return ft_entries(t, u0, u1, self.eos, self.co)
 
     def matrix(self, state):
-        return _as_matrix(self.entries(*state.theta_u()))
+        return np.array(self.entries(*state.theta_u())).reshape(2, 2)
 
     def describe(self):
         if self.tag == "bdn":

@@ -346,25 +346,28 @@ def flux(state, eos):
     return np.array([c * (state.psi0 * psi1), c * (psi1 * psi1) + eos.p(t)])
 
 
-def stress_hessian(state, eos, beta):
-    """Second derivative of ptilde(theta) psi^beta in the covariant state.
+def stress_hessian(state, eos):
+    """Flux Hessian K^{acb} = d^2(ptilde psi^b)/dpsi_a dpsi_c, the
+    derivative of T^{ab} = d(ptilde psi^b)/dpsi_a in the covariant state.
+    K is symmetric in all three indices, so it is four numbers.  In
+    u = theta psi, with a = 3 p' + theta p'' and u0^2 = 1 + u1^2, each
+    is a sum of terms of one sign:
 
-    Returns the 2x2 matrix K^{a c} = d^2(ptilde psi^beta)/dpsi_a dpsi_c,
-    i.e. the derivative of T^{a beta} with respect to (psi_0, psi_1).
-    beta = 1 is the Hessian of the Lyapunov core L^1, beta = 0 the
-    positive definite mass matrix of the characteristic problem.
+        k000 = theta^2 u0 (theta p'' + a u1^2)
+        k001 = theta^2 u1 (2 p' + theta p'' + a u1^2)
+        k011 = theta^2 u0 (p' + a u1^2)
+        k111 = theta^2 u1 (3 p' + a u1^2)
+
+    Returns (k000, k001, k011, k111).  H0 = [[k000, k001], [k001, k011]]
+    is the positive definite mass matrix of the characteristic pencil,
+    H1 = [[k001, k011], [k011, k111]] the flux Jacobian dF/dw.
     """
-    t = state.theta
-    psi = state.psi
-    A = t ** 5 * (3.0 * eos.dp(t) + t * eos.d2p(t))
-    B = t ** 3 * eos.dp(t)
-    K = A * np.outer(psi, psi) * psi[beta]
-    for a in range(2):
-        for c in range(2):
-            K[a, c] += B * (G2[a, c] * psi[beta]
-                            + G2[c, beta] * psi[a]
-                            + G2[a, beta] * psi[c])
-    return K
+    t, u0, u1 = state.theta_u()
+    p1, p2 = eos.dp(t), t * eos.d2p(t)
+    au2 = (3.0 * p1 + p2) * u1 * u1
+    t2 = t * t
+    return (t2 * u0 * (p2 + au2), t2 * u1 * (2.0 * p1 + p2 + au2),
+            t2 * u0 * (p1 + au2), t2 * u1 * (3.0 * p1 + au2))
 
 
 def gnl_indicator(eos, rho):
@@ -397,16 +400,18 @@ def check_strict_causality(state, eos, directions=DEFAULT_DIRECTIONS,
     Returns (overall_pass, per_direction) where per_direction is a list
     of (direction, eigenvalues, pass) entries.
     """
+    k000, k001, k011, k111 = stress_hessian(state, eos)
     report = []
     ok = True
     for d in directions:
         d = np.asarray(d, dtype=float)
         if not (d[0] > 0.0 and abs(d[1]) <= d[0]):
             raise ValueError(f"direction {d} is not future non-spacelike")
-        t_cov = G2 @ d
-        K = (stress_hessian(state, eos, 0) * t_cov[0]
-             + stress_hessian(state, eos, 1) * t_cov[1])
-        lam = np.linalg.eigvalsh(0.5 * (K + K.T))
+        # contract with the lowered direction (-T^0, T^1)
+        a, b = -d[0], d[1]
+        off = a * k001 + b * k011
+        K = [[a * k000 + b * k001, off], [off, a * k011 + b * k111]]
+        lam = np.linalg.eigvalsh(K)
         # margin relative to the spectral scale; a luminal EOS lands on
         # the boundary (zero eigenvalue along a null ray) and must fail
         scale = float(np.abs(lam).max())

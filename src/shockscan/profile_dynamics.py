@@ -27,8 +27,7 @@ from scipy.integrate import quad, solve_ivp
 from . import rk45
 from .fluid_core import DomainError, FluidState, stress_hessian, flux
 from .rankine_hugoniot import u1_of_rho
-from .dissipation import (DissipationModel, ft_coefficients_at,
-                          CausalityError)
+from .dissipation import DissipationModel, ft_coefficients, CausalityError
 
 
 class SingularMatrix(RuntimeError):
@@ -45,10 +44,6 @@ class SingularMatrix(RuntimeError):
         super().__init__(
             f"profile matrix singular at w = ({w[0]:.6g}, {w[1]:.6g}), "
             f"|det M| = {detval:.3e}")
-
-
-def state_of_w(w):
-    return FluidState(-w[0], w[1])
 
 
 # Fixed shooting limits: the orbit length allowed to a shot and the
@@ -93,15 +88,10 @@ def planar_rhs(w, shock, model, tol_det=1e-10):
 
 
 def lyapunov_eval(state, eos, q0, q1):
-    """L = p(theta) psi^1 - q^a psi_a; strictly increasing along
-    viscous profiles, the bookkeeping quantity of the samples."""
+    """L = p(theta) psi^1 - q^a psi_a, with gradient F in w; strictly
+    increasing along viscous profiles, the samples' bookkeeping quantity."""
     return (eos.p(state.theta) * state.psi1
             + q0 * state.psi0 - q1 * state.psi1)
-
-
-def lyapunov_gradient(state, eos, q0, q1):
-    """Gradient of L in the covariant state equals the flux excess F."""
-    return flux(state, eos) - np.array([q0, q1])
 
 
 def oscillation_detect(rho, rel_tol=1e-9):
@@ -115,10 +105,8 @@ def oscillation_detect(rho, rel_tol=1e-9):
 
 
 class RestPointReport:
-    """Linearization M^-1 dF/dw at a rest state of the profile system."""
-
-    TYPES = ("source", "sink", "saddle", "spiral-source", "spiral-sink",
-             "degenerate")
+    """Linearization M^-1 dF/dw at a rest state of the profile system;
+    kind: source, sink, saddle, spiral-source, spiral-sink, degenerate."""
 
     def __init__(self, label, state, eigenvalues, eigenvectors):
         self.label = label
@@ -149,10 +137,6 @@ class RestPointReport:
     def is_saddle(self):
         return self.kind == "saddle"
 
-    @property
-    def is_spiral(self):
-        return self.kind.startswith("spiral")
-
     def as_dict(self):
         return {
             "label": self.label,
@@ -169,7 +153,8 @@ def rest_point_classify(label, state, model, eos, tol_det=1e-10):
     det, singular = _det(M.ravel().tolist(), tol_det)
     if singular:
         raise SingularMatrix(state.cov, abs(det), 0.0)
-    H1 = stress_hessian(state, eos, 1)
+    _, k001, k011, k111 = stress_hessian(state, eos)
+    H1 = [[k001, k011], [k011, k111]]
     lam, vec = np.linalg.eig(np.linalg.solve(M, H1))
     return RestPointReport(label, state, lam, vec)
 
@@ -295,7 +280,7 @@ def scalar_profile_ft(shock, co, **overrides):
     def rho_prime(rho):
         u1 = u1_of_rho(eos, rho, q0, q1)
         state = FluidState.from_rho_u1(eos, rho, u1)
-        sig, _ = ft_coefficients_at(state, eos, co)
+        sig, _ = ft_coefficients(state.theta, eos, co)
         if sig <= 0.0:
             raise CausalityError(f"sigma(rho={rho:g}) = {sig:g} <= 0")
         return R_of(rho) * q0 ** 2 / (sig * (rho + q1) * u1 ** 3)

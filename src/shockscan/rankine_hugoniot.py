@@ -25,8 +25,7 @@ _BRENTQ_KW = dict(xtol=1e-300, rtol=8.9e-16, maxiter=200)
 
 
 class NoShock(ValueError):
-    """Flux constants admit no pair of end states."""
-    pass
+    """Flux constants admit no pair of admissible end states."""
 
 
 def g_eval(eos, q1, rho):
@@ -98,15 +97,15 @@ def char_speeds(state, eos):
     """Acoustic characteristic speeds at a state, slow first.
 
     Solves the symmetric pencil H1 v = lam H0 v built from the stress
-    Hessians; H0 must be positive definite for the state to be
-    admissible.
+    Hessian; H0 must be positive definite for the state to be
+    admissible, and a state where it is not raises NoShock.
     """
-    H1 = stress_hessian(state, eos, 1)
-    H0 = stress_hessian(state, eos, 0)
+    k000, k001, k011, k111 = stress_hessian(state, eos)
     try:
-        lam = eigh(H1, H0, eigvals_only=True)
+        lam = eigh([[k001, k011], [k011, k111]],
+                   [[k000, k001], [k001, k011]], eigvals_only=True)
     except np.linalg.LinAlgError as exc:
-        raise ValueError(
+        raise NoShock(
             "mass matrix of the characteristic pencil is not positive "
             f"definite at {state!r}") from exc
     return float(lam[0]), float(lam[1])
@@ -116,7 +115,7 @@ class ShockData:
     """End states plus diagnostics for one pair of flux constants."""
 
     def __init__(self, eos, q0, q1, rho_minus, rho_plus, strength,
-                 rho_star, q_cap):
+                 rho_star, q_cap, rho_bar):
         self.eos = eos
         self.q0 = q0
         self.q1 = q1
@@ -125,7 +124,7 @@ class ShockData:
         self.strength = strength
         self.rho_star = rho_star
         self.q_cap = q_cap
-        self.rho_bar = rho_bar(eos, q1)
+        self.rho_bar = rho_bar
         self.u1_minus = u1_of_rho(eos, rho_minus, q0, q1)
         self.u1_plus = u1_of_rho(eos, rho_plus, q0, q1)
         self.state_minus = FluidState.from_rho_u1(eos, rho_minus, self.u1_minus)
@@ -193,7 +192,7 @@ def end_states(eos, q0, q1):
     rm = brentq(f, lo, rho_star, **_BRENTQ_KW)
     rp = brentq(f, rho_star, rb, **_BRENTQ_KW)
     strength = 1.0 - r / q_cap
-    sd = ShockData(eos, q0, q1, rm, rp, strength, rho_star, q_cap)
+    sd = ShockData(eos, q0, q1, rm, rp, strength, rho_star, q_cap, rb)
     _check_consistency(sd)
     return sd
 

@@ -16,16 +16,15 @@ from scipy.optimize import brentq
 from shockscan import (
     BdnCoefficients, FluidState, FtCoefficients, MonomialEos, PolynomialEos,
     ScanRecord,
-    bdn_causality_class, char_speeds, end_states, g_eval, gnl_indicator,
-    lyapunov_eval, lyapunov_gradient, make_model, nu_bound, planar_rhs,
+    bdn_causality_class, char_speeds, end_states, flux, ft_coefficients,
+    g_eval, gnl_indicator, lyapunov_eval, make_model, nu_bound, planar_rhs,
     radiation_eos, rest_point_classify, rho_bar, run_scan,
-    scalar_profile_ft, shock_from_strength, shoot_heteroclinic, state_of_w,
-    stress_hessian,
+    scalar_profile_ft, shock_from_strength, shoot_heteroclinic,
 )
-from shockscan.dissipation import ft_coefficients_at
 from shockscan.fluid_core import G2
 
 from test_dissipation import bdn_matrix_full_tensor, velocity_gradient
+from test_fluid_core import hessian_slices
 
 RAD = radiation_eos()
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
@@ -83,8 +82,8 @@ def test_02_heat_conducting_profile_grid():
         for s in STRENGTHS:
             sd = shock_from_strength(RAD, q1, s)
             # Hessian of the Lyapunov quantity at the two rest states
-            Hm = stress_hessian(sd.state_minus, RAD, 1)
-            Hp = stress_hessian(sd.state_plus, RAD, 1)
+            _, Hm = hessian_slices(sd.state_minus, RAD)
+            _, Hp = hessian_slices(sd.state_plus, RAD)
             assert np.linalg.eigvalsh(Hm).min() > 0.0, (q1, s)
             assert np.linalg.det(Hp) < 0.0, (q1, s)
             for chi in (0.1, 0.5, 1.0):
@@ -367,14 +366,15 @@ def test_09_gradient_and_assembly_oracles():
     h = 1e-6
     for _ in range(100):
         st = _random_state(rng, RAD)
-        g = lyapunov_gradient(st, RAD, q0, q1)
+        g = flux(st, RAD) - [q0, q1]
         w = st.cov
         fd = np.zeros(2)
         for j in range(2):
             e = np.zeros(2)
             e[j] = h
-            fd[j] = (lyapunov_eval(state_of_w(w + e), RAD, q0, q1)
-                     - lyapunov_eval(state_of_w(w - e), RAD, q0, q1)) / (2 * h)
+            fd[j] = (lyapunov_eval(FluidState.from_cov(w + e), RAD, q0, q1)
+                     - lyapunov_eval(FluidState.from_cov(w - e), RAD, q0, q1)
+                     ) / (2 * h)
         err = np.abs(g - fd).max() / max(1.0, np.abs(g).max())
         assert err < 1e-6
         worst_a = max(worst_a, err)
@@ -421,7 +421,7 @@ def test_09_gradient_and_assembly_oracles():
         st = _random_state(rng, RAD)
         co = FtCoefficients(rng.uniform(0.2, 3.0), rng.uniform(0.0, 2.0))
         m = make_model("ft-viscous", RAD, eta=co.eta, zeta=co.zeta)
-        sigma, _ = ft_coefficients_at(st, RAD, co)
+        sigma, _ = ft_coefficients(st.theta, RAD, co)
         dw = rng.standard_normal(2)
         lhs = m.matrix(st) @ dw
         rhs = sigma * (G2 @ velocity_gradient(st) @ dw)

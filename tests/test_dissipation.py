@@ -8,9 +8,8 @@ import pytest
 from shockscan import (
     BdnCoefficients, CausalityError, DissipationModel, EosError,
     FluidState, FtCoefficients, MonomialEos, PolynomialEos, SingularMatrix,
-    bdn_causality_class, ft_coefficients_at, ideal_stress, make_model,
-    nu_bound, planar_rhs, profile_matrix_bdn, profile_matrix_eckart,
-    profile_matrix_ft, radiation_eos, shock_from_strength,
+    bdn_causality_class, ft_coefficients, ideal_stress, make_model,
+    nu_bound, planar_rhs, radiation_eos, shock_from_strength,
 )
 from shockscan.fluid_core import G2
 
@@ -75,7 +74,7 @@ def ft_matrix_reference(state, eos, co):
     """Causal viscosity/heat-conduction matrix, assembled term by term."""
     Pi, U = _projector(state)
     t = state.theta
-    sigma, zeta_check = ft_coefficients_at(state, eos, co)
+    sigma, zeta_check = ft_coefficients(t, eos, co)
     g1 = G2[1, :]
     W = (_shear_bulk_block(Pi, co.eta, zeta_check)
          + sigma * (U[1] * np.outer(U, g1)
@@ -126,20 +125,20 @@ def test_ft_coefficient_identity():
         st = random_state(rng)
         co = FtCoefficients(rng.uniform(0.2, 3.0), rng.uniform(0.0, 2.0),
                             rng.uniform(0.0, 2.0))
-        sigma, zc = ft_coefficients_at(st, RAD, co)
+        sigma, zc = ft_coefficients(st.theta, RAD, co)
         assert 4.0 * co.eta / 3.0 + zc == pytest.approx(sigma, rel=1e-13)
 
 
 def test_ft_coefficients_radiation_frozen():
     # cs^2 = 1/3, eta = 1, zeta = chi = 0: sigma = (4/3)/(2/3) = 2
-    sigma, zc = ft_coefficients_at(REST, RAD, FtCoefficients(1.0))
+    sigma, zc = ft_coefficients(REST.theta, RAD, FtCoefficients(1.0))
     assert sigma == pytest.approx(2.0, rel=1e-14)
     assert zc == pytest.approx(2.0 / 3.0, rel=1e-14)
 
 
 def test_ft_coefficients_luminal_eos():
     with pytest.raises(CausalityError):
-        ft_coefficients_at(REST, MonomialEos(1, 2), FtCoefficients(1.0))
+        ft_coefficients(REST.theta, MonomialEos(1, 2), FtCoefficients(1.0))
 
 
 def test_coefficient_validation():
@@ -158,9 +157,9 @@ def test_coefficient_validation():
 # ------------------------------------------------------- FT matrices
 
 def test_ft_rest_matrices():
-    M = profile_matrix_ft(REST, RAD, FtCoefficients(1.0))
+    M = make_model("ft-heat", RAD, eta=1.0).matrix(REST)
     assert np.allclose(M, np.diag([0.0, 2.0]), atol=1e-14)
-    M = profile_matrix_ft(REST, RAD, FtCoefficients(1.0, 0.0, 1.0))
+    M = make_model("ft-heat", RAD, eta=1.0, chi=1.0).matrix(REST)
     assert np.allclose(M, np.diag([1.0, 5.0 / 3.0]), atol=1e-14)
 
 
@@ -171,12 +170,12 @@ def test_ft_collapses_to_projector_form():
         st = random_state(rng)
         co = FtCoefficients(rng.uniform(0.2, 3.0), rng.uniform(0.0, 2.0),
                             rng.uniform(0.0, 2.0))
-        sigma, _ = ft_coefficients_at(st, RAD, co)
+        sigma, _ = ft_coefficients(st.theta, RAD, co)
         U = st.u
         t = st.theta
         Pi = G2 + np.outer(U, U)
         want = sigma * t * Pi + co.chi * t ** 2 * np.outer(U, U)
-        M = profile_matrix_ft(st, RAD, co)
+        M = DissipationModel("ft-heat", co, RAD).matrix(st)
         assert np.abs(M - want).max() <= 1e-11 * np.abs(want).max()
 
 
@@ -187,8 +186,8 @@ def test_ft_viscous_action_is_sigma_du():
     for _ in range(100):
         st = random_state(rng)
         co = FtCoefficients(rng.uniform(0.2, 3.0), rng.uniform(0.0, 2.0))
-        M = profile_matrix_ft(st, RAD, co)
-        sigma, _ = ft_coefficients_at(st, RAD, co)
+        M = DissipationModel("ft-heat", co, RAD).matrix(st)
+        sigma, _ = ft_coefficients(st.theta, RAD, co)
         dw = rng.standard_normal(2)
         lhs = M @ dw
         rhs = sigma * (G2 @ velocity_gradient(st) @ dw)
@@ -216,9 +215,9 @@ def test_velocity_gradient_fd():
 # ------------------------------------------------------- Eckart
 
 def test_eckart_rest_matrices():
-    M = profile_matrix_eckart(REST, RAD, FtCoefficients(1.0))
+    M = make_model("eckart", RAD, eta=1.0).matrix(REST)
     assert np.allclose(M, np.diag([0.0, 4.0 / 3.0]), atol=1e-14)
-    M = profile_matrix_eckart(REST, RAD, FtCoefficients(1.0, 0.0, 0.7))
+    M = make_model("eckart", RAD, eta=1.0, chi=0.7).matrix(REST)
     assert np.allclose(M, np.diag([0.7, 4.0 / 3.0]), atol=1e-14)
 
 
@@ -231,13 +230,13 @@ def test_eckart_differs_from_ft_by_effective_viscosity():
     for _ in range(50):
         st = random_state(rng)
         co = FtCoefficients(rng.uniform(0.2, 3.0), rng.uniform(0.0, 2.0))
-        _, zc = ft_coefficients_at(st, RAD, co)
+        _, zc = ft_coefficients(st.theta, RAD, co)
         t, u0, u1 = st.theta_u()
         Pi = G2 + np.outer([u0, u1], [u0, u1])
         bulk = (zc - co.zeta) - (4.0 * co.eta / 3.0 + co.zeta) * u1 ** 2
         want = t * bulk * Pi
-        diff = (profile_matrix_ft(st, RAD, co)
-                - profile_matrix_eckart(st, RAD, co))
+        diff = (DissipationModel("ft-heat", co, RAD).matrix(st)
+                - DissipationModel("eckart", co, RAD).matrix(st))
         assert np.abs(diff - want).max() <= 1e-12 * max(1.0,
                                                         np.abs(want).max())
 
@@ -286,11 +285,11 @@ def test_planar_rhs_matches_reference_solve(family):
 # ------------------------------------------------------- BDN
 
 def test_bdn_rest_matrices():
-    M = profile_matrix_bdn(REST, BdnCoefficients(1.0, 4.0 / 3.0, 2.0))
+    M = make_model("bdn", eta=1.0, mu=4.0 / 3.0, nu=2.0).matrix(REST)
     assert np.allclose(M, np.diag([-2.0, 0.0]), atol=1e-14)
-    M = profile_matrix_bdn(REST, BdnCoefficients(1.0, 1.0, 1.0))
+    M = make_model("bdn", eta=1.0, mu=1.0, nu=1.0).matrix(REST)
     assert np.allclose(M, np.diag([-1.0, 1.0 / 3.0]), atol=1e-14)
-    M = profile_matrix_bdn(REST, BdnCoefficients(1.0, 4.0 / 3.0, 4.0))
+    M = make_model("bdn", eta=1.0, mu=4.0 / 3.0, nu=4.0).matrix(REST)
     assert np.allclose(M, np.diag([-4.0, 0.0]), atol=1e-14)
 
 
@@ -299,7 +298,7 @@ def test_bdn_against_full_tensor_oracle():
     for _ in range(100):
         st = random_state(rng)
         eta, mu, nu = rng.uniform(0.2, 3.0, size=3)
-        M = profile_matrix_bdn(st, BdnCoefficients(eta, mu, nu))
+        M = DissipationModel("bdn", BdnCoefficients(eta, mu, nu)).matrix(st)
         O = bdn_matrix_full_tensor(st, eta, mu, nu)
         assert np.abs(M - O).max() <= 1e-12 * max(1.0, np.abs(O).max())
 
@@ -314,9 +313,9 @@ def bdn_det_closed_form(b, eta, mu, nu):
     return -sum(terms) / 3, sum(abs(x) for x in terms) / 3
 
 
-def bdn_det_symbolic(sympy):
-    """det of a sympy port of bdn_matrix_full_tensor, as a polynomial in
-    b = U^1 with U^0 = sqrt(1 + b^2)."""
+def bdn_matrix_symbolic(sympy):
+    """sympy port of bdn_matrix_full_tensor in b = U^1, with
+    U^0 = sqrt(1 + b^2); returns M and (eta, mu, nu, b)."""
     eta, mu, nu, b = sympy.symbols("eta mu nu b", real=True)
     U = [sympy.sqrt(1 + b ** 2), b, 0, 0]
     UU = sympy.Matrix(4, 4, lambda i, j: U[i] * U[j])
@@ -338,8 +337,14 @@ def bdn_det_symbolic(sympy):
         B2 = sum(At(a, b_, e) * Bt(c, d, e) for e in range(4))
         return eta * BE - mu * B1 - nu * B2
 
-    M = sympy.Matrix(2, 2, lambda a, c: Mfull(a, 1, c, 1))
-    return sympy.expand(M.det()), (eta, mu, nu, b)
+    return (sympy.Matrix(2, 2, lambda a, c: Mfull(a, 1, c, 1)),
+            (eta, mu, nu, b))
+
+
+def bdn_det_symbolic(sympy):
+    """det of bdn_matrix_symbolic, as a polynomial in b."""
+    M, syms = bdn_matrix_symbolic(sympy)
+    return sympy.expand(M.det()), syms
 
 
 def test_bdn_det_certificate_closed_form():
@@ -377,7 +382,7 @@ def test_bdn_det_matches_closed_form():
     for _ in range(200):
         st = random_state(rng)
         eta, mu, nu = rng.uniform(0.2, 3.0, size=3)
-        M = profile_matrix_bdn(st, BdnCoefficients(eta, mu, nu))
+        M = DissipationModel("bdn", BdnCoefficients(eta, mu, nu)).matrix(st)
         want, scale = bdn_det_closed_form(st.theta * st.psi1, eta, mu, nu)
         assert abs(np.linalg.det(M) - want) <= 1e-9 * scale
 

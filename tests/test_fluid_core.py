@@ -237,6 +237,13 @@ def test_ideal_stress_matches_fluid_form():
         assert np.allclose(ideal_stress(st, eos), want, rtol=1e-12)
 
 
+def hessian_slices(state, eos):
+    """(H0, H1): the b = 0 and b = 1 slices of the flux Hessian."""
+    k000, k001, k011, k111 = stress_hessian(state, eos)
+    return (np.array([[k000, k001], [k001, k011]]),
+            np.array([[k001, k011], [k011, k111]]))
+
+
 def test_stress_hessian_is_flux_jacobian():
     rng = np.random.default_rng(42)
     h = 1e-6
@@ -244,8 +251,7 @@ def test_stress_hessian_is_flux_jacobian():
         for _ in range(25):
             st = random_state(rng, eos)
             w = st.cov
-            for beta in (0, 1):
-                K = stress_hessian(st, eos, beta)
+            for beta, K in enumerate(hessian_slices(st, eos)):
                 J = np.zeros((2, 2))
                 for j in range(2):
                     e = np.zeros(2)
@@ -261,8 +267,55 @@ def test_hessian_mass_matrix_positive_definite():
     rng = np.random.default_rng(3)
     eos = radiation_eos()
     for _ in range(30):
-        K0 = stress_hessian(random_state(rng, eos), eos, 0)
-        assert np.linalg.eigvalsh(0.5 * (K0 + K0.T)).min() > 0.0
+        K0, _ = hessian_slices(random_state(rng, eos), eos)
+        assert np.linalg.eigvalsh(K0).min() > 0.0
+
+
+class _SymbolicState:
+    """theta_u() of a state with symbolic theta and u^1."""
+
+    def __init__(self, t, u0, u1):
+        self._tu = (t, u0, u1)
+
+    def theta_u(self):
+        return self._tu
+
+
+class _SymbolicEos:
+    """dp and d2p of a generic ptilde, as sympy derivatives."""
+
+    def __init__(self, sympy, p):
+        self.dp = lambda t: sympy.diff(p(t), t)
+        self.d2p = lambda t: sympy.diff(p(t), t, 2)
+
+
+def test_stress_hessian_certificate():
+    # for a generic ptilde the closed form equals the second derivatives
+    # d^2(ptilde(theta) psi^b)/dpsi_a dpsi_c of its definition, with
+    # theta = (psi_0^2 - psi_1^2)^(-1/2), evaluated at psi = u / theta
+    sympy = pytest.importorskip("sympy")
+    p = sympy.Function("p")
+    t, b = sympy.symbols("theta b", positive=True)
+    w = sympy.symbols("w0 w1", real=True)
+    u0 = sympy.sqrt(1 + b ** 2)
+    theta = (w[0] ** 2 - w[1] ** 2) ** sympy.Rational(-1, 2)
+    at = {w[0]: -u0 / t, w[1]: b / t}
+    psi_up = (-w[0], w[1])
+
+    def exact(a, c, beta):
+        d = sympy.diff(p(theta) * psi_up[beta], w[a], w[c])
+        return sympy.simplify(d.subs(at).doit())
+
+    k = stress_hessian(_SymbolicState(t, u0, b), _SymbolicEos(sympy, p))
+    k = [sympy.nsimplify(x, rational=True) for x in k]
+    index = {(0, 0, 0): 0, (0, 0, 1): 1, (0, 1, 0): 1, (1, 0, 0): 1,
+             (0, 1, 1): 2, (1, 0, 1): 2, (1, 1, 0): 2, (1, 1, 1): 3}
+    for (a, c, beta), i in index.items():
+        assert sympy.simplify(exact(a, c, beta) - k[i]) == 0, (a, c, beta)
+    # the b = 0 and b = 1 slices share entries: H0[0,1] = H1[0,0] and
+    # H0[1,1] = H1[0,1]
+    assert sympy.simplify(exact(0, 1, 0) - exact(0, 0, 1)) == 0
+    assert sympy.simplify(exact(1, 1, 0) - exact(0, 1, 1)) == 0
 
 
 def test_flux_column():

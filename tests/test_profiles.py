@@ -10,10 +10,12 @@ from scipy.integrate._ivp.rk import rk_step
 
 from shockscan import (
     DomainError, FluidState, FtCoefficients, MonomialEos, SingularMatrix,
-    lyapunov_eval, lyapunov_gradient, make_model, oscillation_detect,
-    planar_rhs, radiation_eos, rest_point_classify, rk45, scalar_profile_ft,
-    shock_from_strength, shoot_heteroclinic, state_of_w,
+    flux, lyapunov_eval, make_model, oscillation_detect, planar_rhs,
+    radiation_eos, rest_point_classify, rk45, scalar_profile_ft,
+    shock_from_strength, shoot_heteroclinic,
 )
+
+from test_dissipation import bdn_matrix_symbolic
 
 RAD = radiation_eos()
 
@@ -198,6 +200,45 @@ def test_rest_point_classify_rejects_degenerate_matrix(shock_rad):
         rest_point_classify("minus", shock_rad.state_minus, m, RAD)
 
 
+def mp_rest_eigenvalues(sympy, mpmath, state, eta, mu, nu):
+    """Eigenvalues of M^-1 H1 at a radiation state, to 50 digits.
+
+    M is the sympy port of the full BDN tensor and H1 the second
+    derivatives d^2(ptilde psi^1)/dpsi_a dpsi_c of ptilde = theta^4/3,
+    both evaluated at the exact binary value of the float state."""
+    M, (e, m, n, b) = bdn_matrix_symbolic(sympy)
+    w = sympy.symbols("w0 w1", real=True)
+    theta = (w[0] ** 2 - w[1] ** 2) ** sympy.Rational(-1, 2)
+    at = {w[0]: sympy.Rational(-state.psi0), w[1]: sympy.Rational(state.psi1)}
+    H1 = sympy.Matrix(2, 2, lambda a, c: sympy.diff(
+        theta ** 4 / 3 * w[1], w[a], w[c])).subs(at)
+    M = M.subs({e: eta, m: mu, n: nu, b: (theta * w[1]).subs(at)})
+    with mpmath.workdps(50):
+        A = (mpmath.matrix(M.evalf(60).tolist())
+             ** -1 * mpmath.matrix(H1.evalf(60).tolist()))
+        tr, det = A[0, 0] + A[1, 1], A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
+        root = mpmath.sqrt(tr * tr - 4 * det)
+        return sorted([(tr - root) / 2, (tr + root) / 2],
+                      key=lambda z: mpmath.re(z))
+
+
+@pytest.mark.parametrize("s", [0.95, 0.99])
+def test_rest_point_eigenvalues_match_mpmath(s):
+    # BDN (1, 30, 3), q1 = 1, upstream state: det M cancels by a factor
+    # of 1e7 to 1e9 here, so a solve through det M (Cramer's rule) loses
+    # digits of the small eigenvalue
+    sympy = pytest.importorskip("sympy")
+    mpmath = pytest.importorskip("mpmath")
+    st = shock_from_strength(RAD, 1.0, s).state_minus
+    model = make_model("bdn", RAD, eta=1.0, mu=30.0, nu=3.0)
+    got = sorted(rest_point_classify("minus", st, model, RAD).eigenvalues,
+                 key=lambda z: z.real)
+    want = mp_rest_eigenvalues(sympy, mpmath, st, 1, 30, 3)
+    for g, x in zip(got, want):
+        x = complex(x)
+        assert abs(g - x) <= 1e-7 * abs(x), (s, g, x)
+
+
 # ------------------------------------------------------- Lyapunov function
 
 def test_lyapunov_gradient_is_flux_excess(shock_rad):
@@ -209,14 +250,15 @@ def test_lyapunov_gradient_is_flux_excess(shock_rad):
         t = rng.uniform(0.6, 1.8)
         u0 = 1.0 / np.sqrt(1.0 - v * v)
         st = FluidState(u0 / t, v * u0 / t)
-        g = lyapunov_gradient(st, RAD, q0, q1)
+        g = flux(st, RAD) - [q0, q1]
         w = st.cov
         fd = np.zeros(2)
         for j in range(2):
             e = np.zeros(2)
             e[j] = h
-            fd[j] = (lyapunov_eval(state_of_w(w + e), RAD, q0, q1)
-                     - lyapunov_eval(state_of_w(w - e), RAD, q0, q1)) / (2 * h)
+            fd[j] = (lyapunov_eval(FluidState.from_cov(w + e), RAD, q0, q1)
+                     - lyapunov_eval(FluidState.from_cov(w - e), RAD, q0, q1)
+                     ) / (2 * h)
         assert np.abs(g - fd).max() <= 1e-6 * max(1.0, np.abs(g).max())
 
 

@@ -150,6 +150,14 @@ def test_char_speeds_against_velocity_addition():
             assert hi == pytest.approx((v + c) / (1 + v * c), rel=1e-8)
 
 
+def test_char_speeds_rejects_indefinite_pencil():
+    # u^1 = 2.2e4 at theta = 2.2e-6: the mass matrix H0 is not
+    # positive definite in floating point, which is reported as NoShock
+    st = FluidState(1e10, 1e10 * (1 - 1e-9))
+    with pytest.raises(NoShock, match="not positive definite"):
+        char_speeds(st, RAD)
+
+
 def test_lax_pattern_across_strengths():
     for q1 in (0.5, 3.0):
         for s in np.linspace(0.05, 0.95, 7):

@@ -73,6 +73,12 @@ def test_scan_never_aborts_on_bad_points():
     d = res.summary_dict()
     assert d["counts"] == {"no_end_states": 2}
     assert len(d["failures"]) == 2
+    # at s = 1 - 1e-8 the end states are lost to roundoff: the point is
+    # recorded, and the scan goes on
+    res = run_scan("radiation", "bdn", BDN_SHARP, [1.0], [0.5, 1 - 1e-8])
+    assert [r.classification for r in res.records] == [
+        "connected_oscillatory", "no_end_states"]
+    assert res.records[1].reason
 
 
 def test_scan_empty_grid():
@@ -162,6 +168,17 @@ def test_cli_config_errors(capsys, tmp_path):
                  "--strength", "0.5", "--q0", "4"]) == 1
     # unknown EOS
     assert main(["rh", "--eos", "dust", "--q1", "3", "--strength", "0.5"]) == 1
+    # a malformed flag value and an unknown flag are usage errors, not
+    # "no shock" (argparse's own exit code is 2); --help still exits 0
+    assert main(["rh", "--eos", "radiation", "--q1", "abc",
+                 "--strength", "0.5"]) == 1
+    assert "not a number: 'abc'" in capsys.readouterr().err
+    assert main(["rh", "--eos", "radiation", "--q1", "3", "--strength",
+                 "0.5", "--bogus"]) == 1
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["rh", "--help"])
+    assert exc.value.code == 0
     # missing config file
     assert main(["rh", "--config", str(tmp_path / "none.ini"),
                  "--eos", "radiation", "--q1", "3", "--strength", "0.5"]) == 1
