@@ -151,9 +151,11 @@ def bdn_causality_class(co, rtol=1e-12):
 class DissipationModel:
     """One dissipation tensor bound to its coefficients.
 
-    tag is one of 'ft-viscous', 'ft-heat', 'bdn', 'eckart'; entries()
-    evaluates the planar profile matrix as four floats, matrix(state)
-    as a 2x2 array.
+    tag is one of 'ft-viscous', 'ft-heat', 'bdn', 'eckart'.
+    entries(t, u0, u1) evaluates the planar profile matrix at
+    temperature t and velocity (u0, u1) as four floats,
+    (M00, M01, M10, M11); it is the family's closed form, bound once
+    here.  matrix(state) is the same as a 2x2 array.
     """
 
     def __init__(self, tag, coefficients, eos=None):
@@ -176,14 +178,17 @@ class DissipationModel:
                     f"fluid; got EOS {eos.name!r}")
         else:
             raise ValueError(f"unknown dissipation tag {tag!r}")
+        co = coefficients
+        if tag == "bdn":
+            self.entries = lambda t, u0, u1: bdn_entries(u0, u1, co)
+        elif tag == "eckart":
+            self.entries = lambda t, u0, u1: eckart_entries(t, u0, u1, co)
+        else:
+            self.entries = lambda t, u0, u1: ft_entries(t, u0, u1, eos, co)
 
-    def entries(self, t, u0, u1):
-        """(M00, M01, M10, M11) at temperature t, velocity (u0, u1)."""
-        if self.tag == "bdn":
-            return bdn_entries(u0, u1, self.co)
-        if self.tag == "eckart":
-            return eckart_entries(t, u0, u1, self.co)
-        return ft_entries(t, u0, u1, self.eos, self.co)
+    def __reduce__(self):
+        # entries is a closure: rebuild from the tag and coefficients
+        return type(self), (self.tag, self.co, self.eos)
 
     def matrix(self, state):
         return np.array(self.entries(*state.theta_u())).reshape(2, 2)

@@ -138,7 +138,9 @@ class PolynomialEos(BarotropicEos):
     Coefficients are kept as Fractions so that test fixtures built from
     expression files evaluate reproducibly.  The coefficient of each
     derivative, c k (k-1)..., is formed as a Fraction and rounded to a
-    float once, at construction, together with its exponent.
+    float once, at construction, together with its exponent.  A
+    one-term polynomial binds p, dp, d2p and d3p to the plain product
+    c * theta ** k; with several terms each call sums them.
     """
 
     def __init__(self, terms, name=None):
@@ -155,7 +157,15 @@ class PolynomialEos(BarotropicEos):
                           for c, k in self.terms)
         self._d3p = tuple((float(c * k * (k - 1) * (k - 2)), float(k) - 3.0)
                           for c, k in self.terms)
+        if len(self.terms) == 1:
+            self.p, self.dp, self.d2p, self.d3p = (
+                _product(*fold[0])
+                for fold in (self._p, self._dp, self._d2p, self._d3p))
         super().__init__()
+
+    def __reduce__(self):
+        # the bound products are closures: rebuild from the terms
+        return type(self), (self.terms, self.name)
 
     def p(self, theta):
         return sum(c * theta ** k for c, k in self._p)
@@ -168,6 +178,11 @@ class PolynomialEos(BarotropicEos):
 
     def d3p(self, theta):
         return sum(c * theta ** k for c, k in self._d3p)
+
+
+def _product(c, k):
+    """theta -> c * theta ** k, a one-term PolynomialEos sum."""
+    return lambda theta: c * theta ** k
 
 
 class MonomialEos(PolynomialEos):
@@ -190,6 +205,9 @@ class MonomialEos(PolynomialEos):
         # p_hat = rho / (k-1), with the divisor rounded once
         self._k1 = float(self.k - 1)
         super().__init__([(coef, k)], name=name or f"power-law:{k}")
+
+    def __reduce__(self):
+        return type(self), (self.coef, self.k, self.name)
 
     def rho(self, theta):
         c, k = self._rho

@@ -64,7 +64,8 @@ def _det(m, tol_det):
 
 def planar_rhs(w, shock, model, tol_det=1e-10):
     """dw/dx = M(psi)^-1 F(w) of the profile system at covariant w, as
-    a pair of floats.
+    a pair of floats.  Only w[0] and w[1] are read, so the shot passes
+    its state with the arclength appended as it is.
 
     Raises DomainError outside psi0 > |psi1| and SingularMatrix when
     det M falls below tol_det * ||M||; the shooting solver relies on
@@ -418,7 +419,7 @@ def shoot_heteroclinic(shock, model, **overrides):
             # the controller shrinks it, the cone event ends the orbit
             return nan3
         try:
-            d0, d1 = planar_rhs(y[:2], shock, model, tol_det)
+            d0, d1 = planar_rhs(y, shock, model, tol_det)
         except SingularMatrix as exc:
             exc.arclength = y[2]
             raise

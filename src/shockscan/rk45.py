@@ -9,6 +9,7 @@ three-component profile systems numpy's per-call overhead on tiny
 vectors cost more than the arithmetic it carries out.
 """
 
+import functools
 import math
 from collections import namedtuple
 
@@ -84,48 +85,52 @@ def _initial_step(fun, y0, f0, t_bound, direction, rtol, atol):
     return min(100 * h0, h1, interval)
 
 
-# the nonzero entries by name, for the unrolled step below
-(_, (A21,), (A31, A32), (A41, A42, A43), (A51, A52, A53, A54),
- (A61, A62, A63, A64, A65)) = A
-_, C2, C3, C4, C5, _ = C
-B1, _, B3, B4, B5, B6 = B
-E1, _, E3, E4, E5, E6, E7 = E
+@functools.cache
+def _stepper(n):
+    """The Dormand-Prince step for states of n components.
 
+    step(fun, t, y, f, h, rtol, atol) takes one step of size h from
+    (t, y), f being fun(t, y), and returns (y_new, f_new, K, err).  K
+    holds the seven stage derivatives (the last is f_new); err is the
+    RMS norm of the embedded error estimate scaled by
+    atol + rtol * max(|y|, |y_new|), NaN when a stage was NaN.
 
-def _rk_step(fun, t, y, f, h):
-    """One Dormand-Prince step of size h from (t, y) with f = fun(t, y).
-
-    Returns (y_new, f_new, K), K being the seven stage derivatives (the
-    last is f_new).  Terms with a zero tableau entry are left out.
+    The source is generated from the tableau with every component
+    written out, so that a stage costs no zip or list comprehension.
+    Each sum runs over the tableau in order, leaving out the terms with
+    a zero entry, and the tableau entries are written as float literals.
     """
-    k1 = f
-    k2 = fun(t + C2 * h, [v + (A21 * a) * h for v, a in zip(y, k1)])
-    k3 = fun(t + C3 * h, [v + (A31 * a + A32 * b) * h
-                          for v, a, b in zip(y, k1, k2)])
-    k4 = fun(t + C4 * h, [v + (A41 * a + A42 * b + A43 * c) * h
-                          for v, a, b, c in zip(y, k1, k2, k3)])
-    k5 = fun(t + C5 * h, [v + (A51 * a + A52 * b + A53 * c + A54 * d) * h
-                          for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
-    k6 = fun(t + h, [v + (A61 * a + A62 * b + A63 * c + A64 * d
-                          + A65 * e) * h
-                     for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
-    y_new = [v + h * (B1 * a + B3 * c + B4 * d + B5 * e + B6 * g)
-             for v, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)]
-    f_new = fun(t + h, y_new)
-    return y_new, f_new, (k1, k2, k3, k4, k5, k6, f_new)
+    def names(stem):
+        return [f"{stem}_{i}" for i in range(n)]
 
+    def unpack(stem, value):
+        return f"    {', '.join(names(stem))}, = {value}"
 
-def _error_norm(K, h, y, y_new, rtol, atol):
-    """RMS norm of the embedded error estimate, scaled by
-    atol + rtol * max(|y|, |y_new|); NaN when a stage was NaN."""
-    k1, _, k3, k4, k5, k6, k7 = K
-    total = 0.0
-    for v, vn, a, c, d, e, g, q in zip(y, y_new, k1, k3, k4, k5, k6, k7):
-        v, vn = abs(v), abs(vn)
-        x = ((E1 * a + E3 * c + E4 * d + E5 * e + E6 * g + E7 * q) * h
-             / (atol + (v if v > vn else vn) * rtol))
-        total += x * x
-    return math.sqrt(total) / len(y) ** 0.5
+    def combo(weights, i):
+        return " + ".join(f"{w!r} * k{j}_{i}"
+                          for j, w in enumerate(weights, 1) if w)
+
+    lines = ["def step(fun, t, y, f, h, rtol, atol):",
+             unpack("y", "y"), "    k1 = f", unpack("k1", "k1")]
+    for j in range(2, 7):
+        at = "t + h" if C[j - 1] == 1.0 else f"t + {C[j - 1]!r} * h"
+        ys = ", ".join(f"y_{i} + ({combo(A[j - 1], i)}) * h"
+                       for i in range(n))
+        lines += [f"    k{j} = fun({at}, [{ys}])", unpack(f"k{j}", f"k{j}")]
+    lines += [f"    n_{i} = y_{i} + h * ({combo(B, i)})" for i in range(n)]
+    lines += [f"    y_new = [{', '.join(names('n'))}]",
+              "    k7 = fun(t + h, y_new)", unpack("k7", "k7")]
+    for i in range(n):
+        lines += [f"    v, vn = abs(y_{i}), abs(n_{i})",
+                  f"    x_{i} = (({combo(E, i)}) * h"
+                  f" / (atol + (v if v > vn else vn) * rtol))"]
+    squares = " + ".join(f"x_{i} * x_{i}" for i in range(n))
+    lines += [f"    err = sqrt({squares}) / {n ** 0.5!r}",
+              "    return y_new, k7, (k1, k2, k3, k4, k5, k6, k7), err"]
+    namespace = {"sqrt": math.sqrt}
+    exec(compile("\n".join(lines), f"<rk45 step, n={n}>", "exec"),
+         namespace)
+    return namespace["step"]
 
 
 def _dense_output(t_old, h, y_old, K):
@@ -163,6 +168,7 @@ def integrate(fun, t_bound, y0, events, rtol, atol):
     y = [float(v) for v in y0]
     f = fun(t, y)
     h_abs = _initial_step(fun, y, f, t_bound, direction, rtol, atol)
+    step = _stepper(len(y))
     ts, ys = [t], [y]
     t_events = [[] for _ in events]
     g = [ev(t, y) for ev in events]
@@ -181,8 +187,7 @@ def integrate(fun, t_bound, y0, events, rtol, atol):
                 t_new = t_bound
             h = t_new - t
             h_abs = abs(h)
-            y_new, f_new, K = _rk_step(fun, t, y, f, h)
-            err = _error_norm(K, h, y, y_new, rtol, atol)
+            y_new, f_new, K, err = step(fun, t, y, f, h, rtol, atol)
             if err < 1:
                 if err == 0:
                     factor = MAX_FACTOR

@@ -122,7 +122,11 @@ def resolve_workers(requested=None):
         return max(1, int(requested))
     env = os.environ.get(ENV_WORKERS)
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"{ENV_WORKERS} must be an integer, "
+                             f"got {env!r}") from None
     return 1
 
 

@@ -1,5 +1,6 @@
 """Dissipation tensors, their planar matrices, causality classes."""
 
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -8,8 +9,9 @@ import pytest
 from shockscan import (
     BdnCoefficients, CausalityError, DissipationModel, EosError,
     FluidState, FtCoefficients, MonomialEos, PolynomialEos, SingularMatrix,
-    bdn_causality_class, ft_coefficients, ideal_stress, make_model,
-    nu_bound, planar_rhs, radiation_eos, shock_from_strength,
+    bdn_causality_class, ft_coefficients, ideal_stress, make_eos, make_model,
+    nu_bound, parse_eos_expression, planar_rhs, radiation_eos,
+    shock_from_strength,
 )
 from shockscan.fluid_core import G2
 
@@ -460,3 +462,20 @@ def test_bdn_requires_radiation():
     gen = PolynomialEos([(Fraction(1, 3), 4)], name="rad-generic")
     m = make_model("bdn", gen, mu=2.0, nu=2.0)
     assert m.matrix(REST).shape == (2, 2)
+
+
+def test_model_and_eos_pickle():
+    # entries and the one-term EOS products are bound closures; pickling
+    # rebuilds them from the coefficients
+    poly = parse_eos_expression("p(theta) = 1/3*theta^4 + 7/10*theta^3")
+    for model in (make_model("bdn", radiation_eos(), eta=1.0, mu=4 / 3,
+                             nu=4.0),
+                  make_model("ft-heat", make_eos("power-law:5/2"), eta=1.0,
+                             chi=0.5),
+                  make_model("eckart", poly, eta=1.0, chi=0.5)):
+        copy = pickle.loads(pickle.dumps(model))
+        assert copy.entries(1.2, 1.25, 0.75) == model.entries(1.2, 1.25, 0.75)
+        assert type(copy.eos) is type(model.eos)
+        assert copy.eos.name == model.eos.name
+        assert copy.eos.terms == model.eos.terms
+        assert copy.eos.p(1.2) == model.eos.p(1.2)

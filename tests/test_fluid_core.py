@@ -11,7 +11,7 @@ from shockscan import (
     check_strict_causality, flux, gnl_indicator, ideal_stress, make_eos,
     parse_eos_expression, radiation_eos, stress_hessian,
 )
-from shockscan.fluid_core import G2
+from shockscan.fluid_core import G2, BarotropicEos
 
 
 def random_state(rng, eos):
@@ -92,9 +92,15 @@ def test_p_hat_second_derivative_fd():
         assert eos.p_hat_pp(rho) == pytest.approx(fd, rel=1e-6)
 
 
-class FractionPolynomial(PolynomialEos):
+class FractionPolynomial(BarotropicEos):
     """Evaluates the Fraction coefficient products on every call, as the
-    EOS layer did before folding them at construction."""
+    EOS layer did before folding them at construction.  It shares no
+    code with PolynomialEos, whose construction may bind p, dp, d2p and
+    d3p to instance attributes that would shadow these methods."""
+
+    def __init__(self, terms):
+        self.terms = [(Fraction(c), Fraction(k)) for c, k in terms]
+        super().__init__()
 
     def p(self, theta):
         return sum(float(c) * theta ** float(k) for c, k in self.terms)
@@ -112,7 +118,11 @@ class FractionPolynomial(PolynomialEos):
                    for c, k in self.terms)
 
 
-class FractionMonomial(FractionPolynomial, MonomialEos):
+class FractionMonomial(FractionPolynomial):
+    def __init__(self, coef, k):
+        self.coef, self.k = Fraction(coef), Fraction(k)
+        super().__init__([(coef, k)])
+
     def rho(self, theta):
         return float(self.coef * (self.k - 1)) * theta ** float(self.k)
 
@@ -136,6 +146,7 @@ def test_folded_coefficients_bit_exact(folded, ref):
     # each folded coefficient is the Fraction product rounded once, so
     # every evaluation equals the per-call Fraction evaluation exactly;
     # 7/10 makes a product of rounded factors differ (0.7 * 6 != 4.2)
+    assert not {"p", "dp", "d2p", "d3p"} & set(vars(ref))
     for t in np.geomspace(1e-3, 1e3, 100):
         for name in ("p", "dp", "d2p", "d3p", "rho"):
             assert getattr(folded, name)(t) == getattr(ref, name)(t), (name, t)

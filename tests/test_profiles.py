@@ -286,21 +286,35 @@ def scipy_rk45(fun, t_bound, y0, events, rtol, atol):
                      method="RK45", events=events, rtol=rtol, atol=atol)
 
 
-def test_rk45_step_matches_scipy(shock_rad):
+def _shot_fun(shock):
+    # the shot's state: covariant w and the arclength travelled
     m = make_model("ft-heat", RAD, eta=1.0, chi=0.5)
+    w = 0.5 * (shock.state_minus.cov + shock.state_plus.cov)
+    w[1] += 0.1
 
     def fun(t, y):
-        return planar_rhs(y, shock_rad, m)
+        d0, d1 = planar_rhs(y, shock, m)
+        return d0, d1, math.hypot(d0, d1)
+    return fun, [*w.tolist(), 0.2]
 
+
+def _quadrature_fun(shock):
+    # one component, returned as a list like the scalar quadrature's
+    def fun(t, y):
+        return [(1.0 - y[0] * y[0]) * (2.0 + math.cos(t))]
+    return fun, [0.3]
+
+
+@pytest.mark.parametrize("make_fun", [_shot_fun, _quadrature_fun],
+                         ids=["shot", "quadrature"])
+def test_rk45_step_matches_scipy(shock_rad, make_fun):
+    fun, y = make_fun(shock_rad)
+    step = rk45._stepper(len(y))
     rtol, atol = 1e-10, 1e-12
-    w = 0.5 * (shock_rad.state_minus.cov + shock_rad.state_plus.cov)
-    w[1] += 0.1
-    y = w.tolist()
     f = fun(0.0, y)
     for h in (1e-3, 1e-2, -0.05):
-        y_new, f_new, K = rk45._rk_step(fun, 0.3, y, f, h)
-        err = rk45._error_norm(K, h, y, y_new, rtol, atol)
-        Kr = np.empty((RK45.n_stages + 1, 2))
+        y_new, f_new, K, err = step(fun, 0.3, y, f, h, rtol, atol)
+        Kr = np.empty((RK45.n_stages + 1, len(y)))
         yr, fr = rk_step(lambda t, v: np.array(fun(t, v.tolist())), 0.3,
                          np.array(y), np.array(f), h, RK45.A, RK45.B,
                          RK45.C, Kr)
@@ -314,6 +328,24 @@ def test_rk45_step_matches_scipy(shock_rad):
         err_ref = norm(np.dot(Kr.T, RK45.E) * h / scale)
         terms = norm(np.dot(np.abs(Kr.T), np.abs(RK45.E)) * abs(h) / scale)
         assert 0.0 < err and abs(err - err_ref) <= 1e-14 * terms, h
+
+
+def test_rk45_step_dimensions(shock_rad, monkeypatch):
+    # the shot integrates (w, arclength), the quadrature rho alone; both
+    # run the step that test_rk45_step_matches_scipy pins
+    asked = []
+
+    def spy(n):
+        asked.append(n)
+        return stepper(n)
+    stepper = rk45._stepper
+    monkeypatch.setattr(rk45, "_stepper", spy)
+    model = make_model("bdn", RAD, eta=1.0, mu=4.0 / 3.0, nu=4.0)
+    assert shoot_heteroclinic(shock_from_strength(RAD, 1.0, 0.5),
+                              model).connected
+    assert asked == [3]
+    assert scalar_profile_ft(shock_rad, FtCoefficients(1.0)).connected
+    assert asked == [3, 1, 1]
 
 
 @pytest.mark.parametrize("s", [0.05, 0.3, 0.6, 0.98])

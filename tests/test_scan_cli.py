@@ -160,7 +160,7 @@ def test_cli_rh_no_shock_exit_two(capsys):
     assert "no shock" in capsys.readouterr().err
 
 
-def test_cli_config_errors(capsys, tmp_path):
+def test_cli_config_errors(capsys, tmp_path, monkeypatch):
     # missing flux
     assert main(["rh", "--eos", "radiation", "--strength", "0.5"]) == 1
     # strength and q0 together
@@ -199,6 +199,14 @@ def test_cli_config_errors(capsys, tmp_path):
                  "--mu", "4/3", "--nu", "4", "--strengths", "0.5",
                  "--method", "foo", "--out", str(tmp_path)]) == 1
     assert "unknown integrator 'foo'" in capsys.readouterr().err
+    assert not (tmp_path / "scan.csv").exists()
+    # a malformed worker count in the environment names the variable
+    monkeypatch.setenv("SHOCKSCAN_WORKERS", "abc")
+    assert main(["scan", "--eos", "radiation", "--q1", "1", "--model", "bdn",
+                 "--mu", "4/3", "--nu", "4", "--strengths", "0.5",
+                 "--out", str(tmp_path)]) == 1
+    assert ("SHOCKSCAN_WORKERS must be an integer, got 'abc'"
+            in capsys.readouterr().err)
     assert not (tmp_path / "scan.csv").exists()
 
 
