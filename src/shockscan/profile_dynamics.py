@@ -22,7 +22,7 @@ Classification vocabulary used throughout:
 import math
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import quad
 
 from . import rk45
 from .fluid_core import DomainError, FluidState, stress_hessian, flux
@@ -219,11 +219,6 @@ class ProfileResult:
         return d
 
 
-# integrators a profile can run on: RK45 is the package's own stepper,
-# the others are solve_ivp's
-METHODS = ("RK45", "RK23", "DOP853", "Radau", "BDF", "LSODA")
-
-
 def _default_settings(**overrides):
     s = dict(rtol=1e-10, atol=1e-12, tol_conn=1e-6, tol_det=1e-10,
              tol_osc=1e-6, method="RK45")
@@ -232,24 +227,10 @@ def _default_settings(**overrides):
             raise TypeError(f"unknown solver setting {k!r}")
         if v is not None:
             s[k] = v
-    if s["method"] not in METHODS:
+    if s["method"] not in rk45.METHODS:
         raise ValueError(f"unknown integrator {s['method']!r} "
-                         f"(one of {', '.join(METHODS)})")
+                         f"(one of {', '.join(rk45.METHODS)})")
     return s
-
-
-def _integrate(fun, t_bound, y0, events, method, rtol, atol):
-    """Integrate dy/dx = fun(x, y) from x = 0 toward t_bound; every
-    event is terminal.  RK45 runs on rk45.integrate, any other method
-    on solve_ivp; both results carry t, y, status and t_events.
-
-    fun sees y as a list of floats either way: float arithmetic on the
-    elements of an array costs more than the conversion.
-    """
-    if method == "RK45":
-        return rk45.integrate(fun, t_bound, y0, events, rtol, atol)
-    return solve_ivp(lambda x, y: fun(x, y.tolist()), (0.0, t_bound), y0,
-                     method=method, events=events, rtol=rtol, atol=atol)
 
 
 def scalar_profile_ft(shock, co, **overrides):
@@ -315,8 +296,8 @@ def scalar_profile_ft(shock, co, **overrides):
     ev_lo.terminal = True
 
     kw = dict(method=st["method"], rtol=st["rtol"], atol=st["atol"] * amp)
-    fwd = _integrate(rhs, X_MAX, [rho_mid], [ev_hi], **kw)
-    bwd = _integrate(rhs, -X_MAX, [rho_mid], [ev_lo], **kw)
+    fwd = rk45.integrate(rhs, X_MAX, [rho_mid], [ev_hi], **kw)
+    bwd = rk45.integrate(rhs, -X_MAX, [rho_mid], [ev_lo], **kw)
     xs = np.concatenate([bwd.t[::-1], fwd.t[1:]])
     rho = np.concatenate([bwd.y[0, ::-1], fwd.y[0, 1:]])
 
@@ -449,8 +430,9 @@ def shoot_heteroclinic(shock, model, **overrides):
 
     y0 = np.array([src[0] + eps * v[0], src[1] + eps * v[1], 0.0])
     try:
-        sol = _integrate(rhs, X_MAX, y0, [ev_conn, ev_cone, ev_rho, ev_arc],
-                         st["method"], st["rtol"], st["atol"])
+        sol = rk45.integrate(rhs, X_MAX, y0,
+                             [ev_conn, ev_cone, ev_rho, ev_arc],
+                             st["rtol"], st["atol"], method=st["method"])
     except SingularMatrix as exc:
         return ProfileResult("singular_matrix", shock, model,
                              reason=str(exc), rest_points=reports,

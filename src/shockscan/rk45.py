@@ -1,12 +1,22 @@
-"""Dormand-Prince 5(4) integration over Python floats.
+"""One event loop over Python floats for every integration method.
 
-This is the scheme of scipy's `RK45`, the default of `solve_ivp`, step
-for step: the same tableau, initial step selection, step-size
-controller, step-size underflow rule and event location.  It takes the
-same steps as `solve_ivp(method="RK45")` up to roundoff in the sums.
-States are lists of floats rather than arrays: for the two- and
-three-component profile systems numpy's per-call overhead on tiny
+`integrate` runs dy/dt = fun(t, y) with terminal events for every
+method a profile can use.  It takes accepted steps from a step source,
+evaluates the events on Python floats after each one and ends the run
+at the earliest root: the event handling of scipy's `solve_ivp`
+without its per-step array work.
+
+RK45 steps come from the package's own Dormand-Prince 5(4) pair, the
+scheme of scipy's `RK45` step for step: the same tableau, initial step
+selection, step-size controller and step-size underflow rule.  It takes
+the same steps as `solve_ivp(method="RK45")` up to roundoff in the
+sums.  Its states are lists of floats rather than arrays: for the two-
+and three-component profile systems numpy's per-call overhead on tiny
 vectors cost more than the arithmetic it carries out.
+
+Every other method steps a scipy `OdeSolver` directly (`solver.step()`,
+its dense output only when an event fires), and the run returns what
+`solve_ivp` returns, bit for bit.
 """
 
 import functools
@@ -14,7 +24,14 @@ import math
 from collections import namedtuple
 
 import numpy as np
+from scipy.integrate import BDF, DOP853, LSODA, RK23, Radau
 from scipy.optimize import brentq
+
+# the scipy solvers stepped directly, by method name
+SCIPY_SOLVERS = {"RK23": RK23, "DOP853": DOP853, "Radau": Radau, "BDF": BDF,
+                 "LSODA": LSODA}
+# every method integrate runs; RK45 is the float stepper below
+METHODS = ("RK45", *SCIPY_SOLVERS)
 
 # Butcher tableau (C, A, B), error weights E and the quartic dense
 # output P of the Dormand-Prince pair, as in scipy.integrate.RK45
@@ -54,9 +71,11 @@ ERROR_EXPONENT = -1 / 5
 EPS = float(np.finfo(float).eps)
 
 Solution = namedtuple("Solution", "t y status t_events")
-Solution.__doc__ = """Samples t (shape (N,)) and y (shape (n, N)), status
-0 (reached t_bound), 1 (a terminal event) or -1 (step size underflow),
-and per event an array of the times it fired, as solve_ivp returns."""
+Solution.__doc__ = """What integrate returns, whatever the method:
+samples t (shape (N,)) and y (shape (n, N)), status 0 (reached
+t_bound), 1 (a terminal event) or -1 (the step size underflowed, or the
+scipy solver failed), and per event an array of the times it fired, as
+solve_ivp returns."""
 
 
 def _rms(v):
@@ -148,40 +167,28 @@ def _dense_output(t_old, h, y_old, K):
     return y_at
 
 
-def integrate(fun, t_bound, y0, events, rtol, atol):
-    """Integrate dy/dt = fun(t, y) from t = 0 toward t_bound (either
-    sign) with the Dormand-Prince 5(4) pair.
+def _dormand_prince(fun, t_bound, y, rtol, atol):
+    """Accepted Dormand-Prince 5(4) steps from (0, y) toward t_bound.
 
-    fun takes t and y as a list of floats and returns a sequence of
-    floats.  Every event g(t, y) must be terminal: after each accepted
-    step the events whose sign changed are located by brentq on the
-    dense output, and the earliest root ends the run as its last
-    sample.  A NaN derivative rejects the trial step, so a vector field
-    that poisons points outside its domain shrinks the step instead of
-    leaving the domain.  Returns a Solution.
+    Yields (t, y, data) per accepted step, _dense_output(*data) being
+    the quartic interpolant over it, and stops early when the step size
+    underflows.  A NaN derivative rejects the trial step (its error is
+    not < 1), so a vector field that poisons points outside its domain
+    shrinks the step instead of leaving the domain.
     """
-    for ev in events:
-        if not getattr(ev, "terminal", False):
-            raise ValueError("every event must be terminal")
     direction = 1.0 if t_bound > 0.0 else -1.0
     t = 0.0
-    y = [float(v) for v in y0]
     f = fun(t, y)
     h_abs = _initial_step(fun, y, f, t_bound, direction, rtol, atol)
     step = _stepper(len(y))
-    ts, ys = [t], [y]
-    t_events = [[] for _ in events]
-    g = [ev(t, y) for ev in events]
-    status = None
-    while status is None:
+    while direction * (t - t_bound) < 0:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         if h_abs < min_step:
             h_abs = min_step
         rejected = False
         while True:
             if h_abs < min_step:
-                status = -1
-                break
+                return
             t_new = t + h_abs * direction
             if direction * (t_new - t_bound) > 0:
                 t_new = t_bound
@@ -199,17 +206,61 @@ def integrate(fun, t_bound, y0, events, rtol, atol):
                 break
             h_abs *= max(MIN_FACTOR, SAFETY * err ** ERROR_EXPONENT)
             rejected = True
-        if status == -1:
-            break
-        t_old, y_old = t, y
+        yield t_new, y_new, (t, h, y, K)
         t, y, f = t_new, y_new, f_new
+
+
+def _scipy_steps(solver):
+    """Accepted steps of a scipy OdeSolver, as (t, y as a list of
+    floats, ()), solver.dense_output() being the interpolant over the
+    step; stops when the solver fails or has reached its t_bound."""
+    while solver.status == "running":
+        solver.step()
+        if solver.status == "failed":
+            return
+        yield solver.t, solver.y.tolist(), ()
+
+
+def integrate(fun, t_bound, y0, events, rtol, atol, method="RK45"):
+    """Integrate dy/dt = fun(t, y) from t = 0 toward t_bound (either
+    sign) with one of METHODS.
+
+    fun takes t and y as a list of floats and returns a sequence of
+    floats, whatever the method.  Every event g(t, y) must be terminal:
+    after each accepted step the events whose sign changed (g <= 0 then
+    >= 0, or the reverse, as in solve_ivp) are located by brentq on the
+    step's dense output, and the earliest root along the direction of
+    integration ends the run as its last sample, the lower event index
+    winning a tie.  Returns a Solution.
+    """
+    for ev in events:
+        if not getattr(ev, "terminal", False):
+            raise ValueError("every event must be terminal")
+    direction = 1.0 if t_bound > 0.0 else -1.0
+    t = 0.0
+    y = [float(v) for v in y0]
+    # steps yield (t, y, data); interpolant(*data) is the dense output
+    # over the step, built only when an event fires
+    if method == "RK45":
+        steps = _dormand_prince(fun, t_bound, y, rtol, atol)
+        interpolant = _dense_output
+    else:
+        solver = SCIPY_SOLVERS[method](lambda t, y: fun(t, y.tolist()), t,
+                                       y0, t_bound, rtol=rtol, atol=atol)
+        steps, interpolant = _scipy_steps(solver), solver.dense_output
+    ts, ys = [t], [y]
+    t_events = [[] for _ in events]
+    g = [ev(t, y) for ev in events]
+    status = -1
+    for t_new, y, data in steps:
+        t_old, t = t, t_new
         if direction * (t - t_bound) >= 0:
             status = 0
         g_new = [ev(t, y) for ev in events]
         active = [i for i, (a, b) in enumerate(zip(g, g_new))
                   if (a <= 0 and b >= 0) or (a >= 0 and b <= 0)]
         if active:
-            y_at = _dense_output(t_old, h, y_old, K)
+            y_at = interpolant(*data)
             roots = [brentq(lambda s, ev=events[i]: ev(s, y_at(s)),
                             t_old, t, xtol=4 * EPS, rtol=4 * EPS)
                      for i in active]
@@ -222,5 +273,7 @@ def integrate(fun, t_bound, y0, events, rtol, atol):
         g = g_new
         ts.append(t)
         ys.append(y)
+        if status >= 0:
+            break
     return Solution(np.array(ts), np.array(ys).T, status,
                     [np.array(te) for te in t_events])

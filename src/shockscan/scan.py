@@ -81,18 +81,15 @@ def compute_profile(shock, model, **overrides):
     return shoot_heteroclinic(shock, model, **overrides)
 
 
-def _scan_point(args):
-    """Classify one (q1, strength) point; top level so it pickles."""
-    eos_spec, model_tag, co, q1, strength, overrides = args
+def _scan_point(eos, model, overrides, q1, strength):
+    """Classify one (q1, strength) point of a scan of eos and model."""
     t0 = time.perf_counter()
-    eos = make_eos(eos_spec)
     try:
         shock = shock_from_strength(eos, q1, strength)
     except NoShock as exc:
         return ScanRecord(q1, strength, classification="no_end_states",
                           reason=str(exc),
                           wall_time=time.perf_counter() - t0)
-    model = make_model(model_tag, eos, **co)
     rec = ScanRecord(q1, strength, shock.q0, shock.rho_minus,
                      shock.rho_plus, "")
     try:
@@ -114,6 +111,21 @@ def _scan_point(args):
     rec.reason = res.reason
     rec.wall_time = time.perf_counter() - t0
     return rec
+
+
+# the EOS, model and solver settings of the scan a pool worker serves,
+# set once per worker by the executor's initializer
+_worker_scan = None
+
+
+def _init_worker(eos, model, overrides):
+    global _worker_scan
+    _worker_scan = eos, model, overrides
+
+
+def _worker_point(q1_strength):
+    """_scan_point in a pool worker; top level so it pickles."""
+    return _scan_point(*_worker_scan, *q1_strength)
 
 
 def resolve_workers(requested=None):
@@ -211,25 +223,29 @@ def run_scan(eos_spec, model_tag, co, q1_values, strengths,
              workers=None, **overrides):
     """Classify every (q1, strength) grid point.
 
-    eos_spec and the coefficient dict stay primitive so points can be
-    shipped to worker processes; the grid is traversed in lexicographic
-    order and results keep that order whatever the worker count.  A
-    point that fails is recorded, never fatal; invalid solver settings
-    raise before any point runs.
+    The EOS and the model are built once, before any point; a pool
+    hands them to each worker once, through its initializer.  The grid
+    is traversed in lexicographic order and results keep that order
+    whatever the worker count.  A point that fails is recorded, never
+    fatal; an invalid EOS, model or solver setting raises before any
+    point runs.
     """
     _default_settings(**overrides)
-    jobs = [(eos_spec, model_tag, dict(co), float(q1), float(s),
-             dict(overrides))
-            for q1 in q1_values for s in strengths]
-    if not jobs:
+    grid = [(float(q1), float(s)) for q1 in q1_values for s in strengths]
+    if not grid:
         raise ValueError("empty scan grid")
     n = resolve_workers(workers)
     t0 = time.perf_counter()
-    if n == 1 or len(jobs) <= 1:
-        records = [_scan_point(j) for j in jobs]
+    # one EOS and model per scan: a file: EOS is read once, here, and
+    # again by the next scan
+    eos = make_eos(eos_spec)
+    model = make_model(model_tag, eos, **co)
+    if n == 1 or len(grid) <= 1:
+        records = [_scan_point(eos, model, overrides, *p) for p in grid]
     else:
-        with ProcessPoolExecutor(max_workers=n) as ex:
-            records = list(ex.map(_scan_point, jobs, chunksize=1))
+        with ProcessPoolExecutor(max_workers=n, initializer=_init_worker,
+                                 initargs=(eos, model, overrides)) as ex:
+            records = list(ex.map(_worker_point, grid, chunksize=1))
     wall = time.perf_counter() - t0
     return ScanResult(eos_spec, model_tag, dict(co), q1_values, strengths,
                       records, wall)

@@ -36,6 +36,30 @@ def _verdict(ok, line):
     assert ok, line
 
 
+def _match_reference(res, name):
+    """Compare a scan with the reference scan.csv data/NAME: grid, end
+    states, classification and reason exact; width (linear
+    interpolation between samples) within 2e-3 relative, arclength
+    within 1e-7 and n_steps within 5% per point.  Returns the worst
+    relative error of each of the three."""
+    with open(os.path.join(DATA, name), newline="") as fh:
+        ref = list(csv.DictReader(fh))
+    assert len(ref) == len(res.records)
+    tols = {"width": 2e-3, "arclength": 1e-7, "n_steps": 0.05}
+    worst = dict.fromkeys(tols, 0.0)
+    for rec, want in zip(res.records, ref):
+        got = dict(zip(ScanRecord.CSV_FIELDS, rec.csv_row()))
+        for key in ("q1", "strength", "q0", "rho_minus", "rho_plus",
+                    "classification", "reason"):
+            assert got[key] == want[key], (rec.q1, rec.strength, key)
+        for key, tol in tols.items():
+            err = abs(float(got[key]) / float(want[key]) - 1.0)
+            assert err <= tol, (rec.q1, rec.strength, key, got[key],
+                                want[key])
+            worst[key] = max(worst[key], err)
+    return worst
+
+
 def _random_state(rng, eos):
     v = rng.uniform(-0.9, 0.9)
     t = rng.uniform(0.6, 1.8)
@@ -102,6 +126,23 @@ def test_02_heat_conducting_profile_grid():
              f"02 heat-conducting grid: {n} profiles connected_monotone, "
              f"Lyapunov increasing (worst relative dip {worst_dL:.1e}), "
              "Hessian definite upstream / indefinite downstream")
+
+
+def test_02_heat_conducting_scan_reference():
+    """The stiff LSODA path across commits: an ft-heat scan (eta = 1,
+    chi = 0.5) over q1 = 0.5, 3, 10 and ten strengths matches
+    data/test_02_ft_heat_scan.csv, the scan.csv this grid gave when
+    LSODA ran through solve_ivp, to the tolerances of _match_reference."""
+    res = run_scan("radiation", "ft-heat", {"eta": 1.0, "chi": 0.5},
+                   [0.5, 3.0, 10.0],
+                   [float(s) for s in np.linspace(0.05, 0.95, 10)],
+                   method="LSODA", rtol=1e-9, atol=1e-11)
+    worst = _match_reference(res, "test_02_ft_heat_scan.csv")
+    counts = res.counts()
+    _verdict(counts == {"connected_monotone": 30},
+             f"02 heat-conducting scan: {counts}, matches the reference "
+             f"scan (relative width {worst['width']:.1e}, arclength "
+             f"{worst['arclength']:.1e}, n_steps {worst['n_steps']:.1%})")
 
 
 # 03 ---------------------------------------------------------------
@@ -244,10 +285,8 @@ def test_06_sharp_causality_scan_evidence():
     non-proof.
 
     Regression: the records match data/test_06_bdn_scan.csv, the
-    scan.csv this grid gave with the projector-assembled matrices.
-    End states, classification and reason are exact; width (linear
-    interpolation between samples) within 2e-3 relative, arclength
-    within 1e-7 and n_steps within 5% per point."""
+    scan.csv this grid gave with the projector-assembled matrices, to
+    the tolerances of _match_reference."""
     assert nu_bound(1.0, 4.0 / 3.0) == 4.0
     res = run_scan("radiation", "bdn",
                    {"eta": 1.0, "mu": 4.0 / 3.0, "nu": 4.0},
@@ -262,20 +301,7 @@ def test_06_sharp_causality_scan_evidence():
     d = res.summary_dict()
     assert "not a proof" in d["note"]
 
-    with open(os.path.join(DATA, "test_06_bdn_scan.csv"), newline="") as fh:
-        ref = list(csv.DictReader(fh))
-    assert len(ref) == len(res.records)
-    tols = {"width": 2e-3, "arclength": 1e-7, "n_steps": 0.05}
-    worst = dict.fromkeys(tols, 0.0)
-    for rec, want in zip(res.records, ref):
-        got = dict(zip(ScanRecord.CSV_FIELDS, rec.csv_row()))
-        for key in ("q1", "strength", "q0", "rho_minus", "rho_plus",
-                    "classification", "reason"):
-            assert got[key] == want[key], (rec.strength, key)
-        for key, tol in tols.items():
-            err = abs(float(got[key]) / float(want[key]) - 1.0)
-            assert err <= tol, (rec.strength, key, got[key], want[key])
-            worst[key] = max(worst[key], err)
+    worst = _match_reference(res, "test_06_bdn_scan.csv")
     _verdict(True,
              f"06 boundary-causal scan: {counts}, threshold s* = "
              f"{s_star:.4g}, contiguous upper range, flagged non-proof; "

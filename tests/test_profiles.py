@@ -278,12 +278,13 @@ def test_oscillation_detect():
 
 
 # ------------------------------------------------------- RK45 stepper
-# rk45.integrate against scipy's RK45, the scheme it copies
+# rk45.integrate against solve_ivp: RK45 copies scipy's scheme, every
+# other method steps scipy's own solver
 
-def scipy_rk45(fun, t_bound, y0, events, rtol, atol):
-    """rk45.integrate's contract, run by solve_ivp(method="RK45")."""
+def solve_ivp_oracle(fun, t_bound, y0, events, rtol, atol, method="RK45"):
+    """rk45.integrate's contract, run by solve_ivp."""
     return solve_ivp(lambda t, y: fun(t, y.tolist()), (0.0, t_bound), y0,
-                     method="RK45", events=events, rtol=rtol, atol=atol)
+                     method=method, events=events, rtol=rtol, atol=atol)
 
 
 def _shot_fun(shock):
@@ -355,7 +356,7 @@ def test_rk45_bdn_shot_matches_scipy(s, monkeypatch):
     sd = shock_from_strength(RAD, 1.0, s)
     m = make_model("bdn", RAD, eta=1.0, mu=4.0 / 3.0, nu=4.0)
     got = shoot_heteroclinic(sd, m)
-    monkeypatch.setattr(rk45, "integrate", scipy_rk45)
+    monkeypatch.setattr(rk45, "integrate", solve_ivp_oracle)
     want = shoot_heteroclinic(sd, m)
     assert got.classification == want.classification
     assert got.connected
@@ -368,7 +369,7 @@ def test_rk45_bdn_shot_matches_scipy(s, monkeypatch):
 def test_rk45_backward_scalar_run_matches_scipy(shock_rad, monkeypatch):
     # the x < 0 half of the viscous profile is integrated backward
     got = scalar_profile_ft(shock_rad, FtCoefficients(1.0))
-    monkeypatch.setattr(rk45, "integrate", scipy_rk45)
+    monkeypatch.setattr(rk45, "integrate", solve_ivp_oracle)
     want = scalar_profile_ft(shock_rad, FtCoefficients(1.0))
     assert got.n_steps == want.n_steps
     assert np.sum(got.x < 0.0) == np.sum(want.x < 0.0) > 10
@@ -399,7 +400,7 @@ def test_rk45_rejects_nan_trial_step():
         return y[0] - 0.999
     ev.terminal = True
     sol = rk45.integrate(fun, 10.0, [0.0], [ev], 1e-10, 1e-12)
-    ref = scipy_rk45(_nan_past_one, 10.0, [0.0], [ev], 1e-10, 1e-12)
+    ref = solve_ivp_oracle(_nan_past_one, 10.0, [0.0], [ev], 1e-10, 1e-12)
     # trial steps crossed y = 1 and were rejected and shrunk: every
     # accepted sample is finite and inside the domain
     assert poisoned
@@ -413,13 +414,14 @@ def test_rk45_rejects_nan_trial_step():
 def test_rk45_status_codes():
     # -1: the step size underflows just short of the poisoned region
     sol = rk45.integrate(_nan_past_one, 10.0, [0.0], [], 1e-10, 1e-12)
-    ref = scipy_rk45(_nan_past_one, 10.0, [0.0], [], 1e-10, 1e-12)
+    ref = solve_ivp_oracle(_nan_past_one, 10.0, [0.0], [], 1e-10, 1e-12)
     assert sol.status == ref.status == -1
     assert sol.t.size == ref.t.size
     assert 1.0 - 1e-12 < sol.y[0, -1] < 1.0
     # 0: a backward run reaches t_bound with no event
     sol = rk45.integrate(lambda t, y: [-y[0]], -3.0, [1.0], [], 1e-10, 1e-12)
-    ref = scipy_rk45(lambda t, y: [-y[0]], -3.0, [1.0], [], 1e-10, 1e-12)
+    ref = solve_ivp_oracle(lambda t, y: [-y[0]], -3.0, [1.0], [], 1e-10,
+                           1e-12)
     assert sol.status == ref.status == 0
     assert sol.t[-1] == -3.0 and sol.t.size == ref.t.size
     assert sol.y[0, -1] == pytest.approx(math.exp(3.0), rel=1e-8)
@@ -433,12 +435,11 @@ def test_rk45_status_codes():
 def test_rk45_initial_step_matches_scipy(fun, y0, tol):
     # each branch of the initial step selection
     sol = rk45.integrate(fun, 1.0, [y0], [], *tol)
-    ref = scipy_rk45(fun, 1.0, [y0], [], *tol)
+    ref = solve_ivp_oracle(fun, 1.0, [y0], [], *tol)
     assert sol.t[1] == pytest.approx(ref.t[1], rel=1e-15, abs=0.0)
 
 
-@pytest.mark.parametrize("direction", [1.0, -1.0])
-def test_rk45_earliest_terminal_event_wins(direction):
+def _far_near(direction):
     # steps grow tenfold on a constant field, so one step crosses both
     # levels; the later-listed event has the earlier root
     def far(t, y):
@@ -451,10 +452,25 @@ def test_rk45_earliest_terminal_event_wins(direction):
 
     def fun(t, y):
         return [1.0]
-    sol = rk45.integrate(fun, 10.0 * direction, [0.0], [far, near],
-                         1e-10, 1e-12)
-    ref = scipy_rk45(fun, 10.0 * direction, [0.0], [far, near],
-                     1e-10, 1e-12)
+    return fun, 10.0 * direction, [0.0], [far, near]
+
+
+def _shot_run(direction):
+    # the ft-heat shot of _shot_fun: forward it ends on an arclength
+    # event, backward it reaches t_bound
+    fun, y0 = _shot_fun(shock_from_strength(RAD, 3.0, 0.5))
+
+    def arc(t, y):
+        return y[2] - 0.6
+    arc.terminal = True
+    return fun, 10.0 * direction, y0, [arc]
+
+
+@pytest.mark.parametrize("direction", [1.0, -1.0])
+def test_rk45_earliest_terminal_event_wins(direction):
+    fun, t_bound, y0, events = _far_near(direction)
+    sol = rk45.integrate(fun, t_bound, y0, events, 1e-10, 1e-12)
+    ref = solve_ivp_oracle(fun, t_bound, y0, events, 1e-10, 1e-12)
     assert sol.status == ref.status == 1
     assert [len(te) for te in sol.t_events] == [0, 1]
     assert [len(te) for te in ref.t_events] == [0, 1]
@@ -462,8 +478,32 @@ def test_rk45_earliest_terminal_event_wins(direction):
     assert sol.t.size == ref.t.size
 
 
-def test_rk45_events_must_be_terminal():
+@pytest.mark.parametrize("method", ["LSODA", "BDF"])
+@pytest.mark.parametrize("direction", [1.0, -1.0],
+                         ids=["forward", "backward"])
+@pytest.mark.parametrize("case", [_shot_run, _far_near],
+                         ids=["shot", "far-near"])
+def test_scipy_method_matches_solve_ivp_bit_for_bit(case, direction,
+                                                    method):
+    # the shared event loop steps scipy's solver itself: the same
+    # samples, status and event times as solve_ivp, to the last bit
+    fun, t_bound, y0, events = case(direction)
+    sol = rk45.integrate(fun, t_bound, y0, events, 1e-9, 1e-11,
+                         method=method)
+    ref = solve_ivp_oracle(fun, t_bound, y0, events, 1e-9, 1e-11,
+                           method=method)
+    assert sol.status == ref.status
+    assert np.array_equal(sol.t, ref.t)
+    assert np.array_equal(sol.y, ref.y)
+    assert len(sol.t_events) == len(ref.t_events)
+    for got, want in zip(sol.t_events, ref.t_events):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("method", ["RK45", "LSODA"])
+def test_rk45_events_must_be_terminal(method):
     def ev(t, y):
         return y[0]
     with pytest.raises(ValueError, match="terminal"):
-        rk45.integrate(lambda t, y: [1.0], 1.0, [0.0], [ev], 1e-6, 1e-9)
+        rk45.integrate(lambda t, y: [1.0], 1.0, [0.0], [ev], 1e-6, 1e-9,
+                       method=method)

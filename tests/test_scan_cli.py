@@ -2,12 +2,13 @@
 
 import json
 import os
+import pickle
 
 import numpy as np
 import pytest
 
-from shockscan import run_scan, resolve_workers
-from shockscan.scan import ScanRecord, _scan_point
+from shockscan import make_eos, make_model, run_scan, resolve_workers, scan
+from shockscan.scan import ScanRecord
 from shockscan.cli import main
 
 FT = {"eta": 1.0}
@@ -99,10 +100,36 @@ def test_scan_threshold_upper_range():
     assert "not a proof" in d["note"]
 
 
-def test_scan_point_is_picklable_unit():
-    rec = _scan_point(("radiation", "ft-viscous", FT, 3.0, 0.5, {}))
+def test_scan_point_is_picklable_unit(monkeypatch):
+    # a pool worker receives the scan's EOS, model and settings once,
+    # through its initializer, then one (q1, strength) pair per point
+    eos = make_eos("radiation")
+    model = make_model("ft-viscous", eos, **FT)
+    monkeypatch.setattr(scan, "_worker_scan", None)
+    scan._init_worker(*pickle.loads(pickle.dumps((eos, model, {}))))
+    rec = pickle.loads(pickle.dumps(scan._worker_point))((3.0, 0.5))
     assert isinstance(rec, ScanRecord)
     assert rec.classification == "connected_monotone"
+    assert rec == scan._scan_point(eos, model, {}, 3.0, 0.5)
+
+
+def test_scan_reads_its_eos_once_per_scan(tmp_path):
+    # built once per scan, not cached across scans: an EOS file edited
+    # between two scans is read again
+    path = tmp_path / "eos.txt"
+    spec = f"file:{path}"
+    path.write_text("p(theta) = 1/3*theta^4\n")
+    first = run_scan(spec, "ft-viscous", FT, [1.0], [0.5])
+    path.write_text("p(theta) = theta^5\n")
+    second = run_scan(spec, "ft-viscous", FT, [1.0], [0.5])
+    assert [r.classification for r in first.records + second.records] == [
+        "connected_monotone"] * 2
+    assert first.records[0].rho_plus != second.records[0].rho_plus
+    # the model is built before any point, so a bad coefficient raises
+    # even where no point has end states
+    with pytest.raises(ValueError, match="does not take mu"):
+        run_scan("radiation", "ft-heat", {"eta": 1.0, "mu": 2.0}, [-1.0],
+                 [0.5])
 
 
 def test_resolve_workers(monkeypatch):
