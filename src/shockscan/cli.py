@@ -9,7 +9,9 @@ Four subcommands:
 
 Options can come from an INI config file (--config) with sections
 [eos], [model], [shock], [solver], [scan], [output]; command line flags
-override file values.  Numeric options accept fractions like 4/3.
+override file values.  An unknown section or key is a configuration
+error; a key that only another subcommand reads is ignored.  Numeric
+options accept fractions like 4/3.
 
 Exit codes: 0 success (end states found, profile connected, scan or
 classification completed); 1 configuration error (bad flags, malformed
@@ -31,7 +33,7 @@ from .fluid_core import EosError, make_eos
 from .rankine_hugoniot import NoShock, end_states, shock_from_strength
 from .dissipation import (CausalityError, BdnCoefficients, make_model,
                           bdn_causality_class)
-from .profile_dynamics import _default_settings
+from .profile_dynamics import SETTINGS, _default_settings
 from .scan import compute_profile, run_scan
 
 EXIT_OK = 0
@@ -40,7 +42,6 @@ EXIT_NOSHOCK = 2
 EXIT_PROFILE = 3
 
 COEFFICIENTS = ("eta", "zeta", "chi", "mu", "nu")
-SOLVER_SETTINGS = ("rtol", "atol", "tol_conn", "tol_det", "tol_osc", "method")
 
 
 def fracfloat(text):
@@ -70,10 +71,6 @@ def build_parser():
         p.add_argument("--config", help="INI configuration file")
         p.add_argument("--eos", help="radiation | power-law:K | file:PATH")
         p.add_argument("--q1", type=fracfloat, help="momentum flux")
-        p.add_argument("--strength", type=fracfloat,
-                       help="shock strength in (0, 1)")
-        p.add_argument("--q0", type=fracfloat,
-                       help="energy flux (alternative to --strength)")
         p.add_argument("--out", help="output directory (default .)")
         if model:
             p.add_argument("--model", help="ft-viscous | ft-heat | bdn | eckart")
@@ -83,8 +80,6 @@ def build_parser():
             p.add_argument("--mu", type=fracfloat, help="first regulator")
             p.add_argument("--nu", type=fracfloat, help="second regulator")
             p.add_argument("--tol-conn", type=fracfloat, dest="tol_conn")
-            p.add_argument("--tol-det", type=fracfloat, dest="tol_det")
-            p.add_argument("--tol-osc", type=fracfloat, dest="tol_osc")
             p.add_argument("--tol-rtol", type=fracfloat, dest="rtol")
             p.add_argument("--tol-atol", type=fracfloat, dest="atol")
             p.add_argument("--method",
@@ -101,7 +96,16 @@ def build_parser():
     p_prof = sub.add_parser("profile", help="compute one dissipation profile")
     common(p_prof)
 
-    p_scan = sub.add_parser("scan", help="classify profiles over a grid")
+    # one shock: rh and profile only, so scan refuses these flags
+    for p in (p_rh, p_prof):
+        p.add_argument("--strength", type=fracfloat,
+                       help="shock strength in (0, 1)")
+        p.add_argument("--q0", type=fracfloat,
+                       help="energy flux (alternative to --strength)")
+
+    # no abbreviations: --strength must not pass for --strengths
+    p_scan = sub.add_parser("scan", help="classify profiles over a grid",
+                            allow_abbrev=False)
     common(p_scan)
     p_scan.add_argument("--strengths",
                         help="grid 'lo:hi:n' or comma list (default "
@@ -122,38 +126,38 @@ _CONFIG_MAP = {
     # (section, key) -> argparse dest
     ("eos", "kind"): "eos",
     ("model", "tag"): "model",
-    ("model", "eta"): "eta",
-    ("model", "zeta"): "zeta",
-    ("model", "chi"): "chi",
-    ("model", "mu"): "mu",
-    ("model", "nu"): "nu",
+    **{("model", k): k for k in COEFFICIENTS},
     ("shock", "q1"): "q1",
     ("shock", "q0"): "q0",
     ("shock", "strength"): "strength",
-    ("solver", "rtol"): "rtol",
-    ("solver", "atol"): "atol",
-    ("solver", "tol_conn"): "tol_conn",
-    ("solver", "tol_det"): "tol_det",
-    ("solver", "tol_osc"): "tol_osc",
-    ("solver", "method"): "method",
+    **{("solver", k): k for k in SETTINGS},
     ("scan", "strengths"): "strengths",
     ("scan", "workers"): "workers",
     ("output", "dir"): "out",
     ("output", "gnuplot"): "gnuplot",
 }
 
-_FLOAT_KEYS = {"eta", "zeta", "chi", "mu", "nu", "q0", "q1", "strength",
-               "rtol", "atol", "tol_conn", "tol_det", "tol_osc"}
+_FLOAT_KEYS = {*COEFFICIENTS, "q0", "q1", "strength",
+               *(k for k, v in SETTINGS.items() if isinstance(v, float))}
 
 
 def apply_config(args):
-    """Fill argparse gaps from the INI file; flags keep priority."""
+    """Fill argparse gaps from the INI file; flags keep priority.  A
+    section or key outside _CONFIG_MAP raises ValueError."""
     if not getattr(args, "config", None):
         return
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     read = cp.read(args.config)
     if not read:
         raise ValueError(f"config file not found: {args.config}")
+    sections = {section for section, _ in _CONFIG_MAP}
+    for section in cp.sections():
+        if section not in sections:
+            raise ValueError(f"unknown config section [{section}]")
+        for key in cp.options(section):
+            if (section, key) not in _CONFIG_MAP:
+                raise ValueError(
+                    f"unknown config key {key!r} in [{section}]")
     for (section, key), dest in _CONFIG_MAP.items():
         if not cp.has_option(section, key):
             continue
@@ -229,7 +233,7 @@ def cmd_rh(args):
 
 
 def cmd_profile(args):
-    settings = _given(args, SOLVER_SETTINGS)
+    settings = _given(args, SETTINGS)
     _default_settings(**settings)   # reject a bad method before solving
     eos, sd = _make_shock(args)
     model = _make_model(args, eos)
@@ -266,7 +270,7 @@ def cmd_scan(args):
         [float(v) for v in np.linspace(0.05, 0.95, 19)]
     result = run_scan(args.eos, args.model, _given(args, COEFFICIENTS),
                       [args.q1], strengths, workers=args.workers,
-                      **_given(args, SOLVER_SETTINGS))
+                      **_given(args, SETTINGS))
     out = _outdir(args)
     cpath = os.path.join(out, "scan.csv")
     spath = os.path.join(out, "scan_summary.json")

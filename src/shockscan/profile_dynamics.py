@@ -52,23 +52,30 @@ class SingularMatrix(RuntimeError):
 ARC_BUDGET = 1e4
 X_MAX = 1e9
 TOL_SPIRAL = 1e-3
+# M counts as singular when |det M| < TOL_DET ||M||; a rest state is a
+# spiral when an eigenvalue has |Im| > TOL_OSC |lambda|
+TOL_DET = 1e-10
+TOL_OSC = 1e-6
+
+# the solver settings a caller may set, with their defaults
+SETTINGS = {"rtol": 1e-10, "atol": 1e-12, "tol_conn": 1e-6, "method": "RK45"}
 
 
-def _det(m, tol_det):
+def _det(m):
     """det M of the entries m = (M00, M01, M10, M11), and whether M
-    counts as singular: |det M| < tol_det * ||M|| (Frobenius norm)."""
+    counts as singular: |det M| < TOL_DET * ||M|| (Frobenius norm)."""
     m00, m01, m10, m11 = m
     det = m00 * m11 - m01 * m10
-    return det, abs(det) < tol_det * math.hypot(m00, m01, m10, m11)
+    return det, abs(det) < TOL_DET * math.hypot(m00, m01, m10, m11)
 
 
-def planar_rhs(w, shock, model, tol_det=1e-10):
+def planar_rhs(w, shock, model):
     """dw/dx = M(psi)^-1 F(w) of the profile system at covariant w, as
     a pair of floats.  Only w[0] and w[1] are read, so the shot passes
     its state with the arclength appended as it is.
 
     Raises DomainError outside psi0 > |psi1| and SingularMatrix when
-    det M falls below tol_det * ||M||; the shooting solver relies on
+    det M falls below TOL_DET * ||M||; the shooting solver relies on
     the latter escaping through the integrator.  theta, u and the flux
     are those of FluidState and fluid_core.flux, written out in the
     same order of operations; the 2x2 system is solved by Cramer's rule.
@@ -82,7 +89,7 @@ def planar_rhs(w, shock, model, tol_det=1e-10):
     f0 = c * (psi0 * psi1) - shock.q0
     f1 = c * (psi1 * psi1) + eos.p(t) - shock.q1
     m00, m01, m10, m11 = m = model.entries(t, t * psi0, t * psi1)
-    det, singular = _det(m, tol_det)
+    det, singular = _det(m)
     if singular:
         raise SingularMatrix((w[0], w[1]), abs(det), 0.0)
     return (m11 * f0 - m01 * f1) / det, (m00 * f1 - m10 * f0) / det
@@ -148,10 +155,10 @@ class RestPointReport:
         }
 
 
-def rest_point_classify(label, state, model, eos, tol_det=1e-10):
+def rest_point_classify(label, state, model, eos):
     """Eigen-decompose the profile linearization at a rest state."""
     M = model.matrix(state)
-    det, singular = _det(M.ravel().tolist(), tol_det)
+    det, singular = _det(M.ravel().tolist())
     if singular:
         raise SingularMatrix(state.cov, abs(det), 0.0)
     _, k001, k011, k111 = stress_hessian(state, eos)
@@ -220,8 +227,7 @@ class ProfileResult:
 
 
 def _default_settings(**overrides):
-    s = dict(rtol=1e-10, atol=1e-12, tol_conn=1e-6, tol_det=1e-10,
-             tol_osc=1e-6, method="RK45")
+    s = dict(SETTINGS)
     for k, v in overrides.items():
         if k not in s:
             raise TypeError(f"unknown solver setting {k!r}")
@@ -287,17 +293,11 @@ def scalar_profile_ft(shock, co, **overrides):
     def rhs(x, y):
         return [rho_prime(y[0])]
 
-    def ev_hi(x, y):
-        return y[0] - cut_hi
-    ev_hi.terminal = True
-
-    def ev_lo(x, y):
-        return y[0] - cut_lo
-    ev_lo.terminal = True
-
     kw = dict(method=st["method"], rtol=st["rtol"], atol=st["atol"] * amp)
-    fwd = rk45.integrate(rhs, X_MAX, [rho_mid], [ev_hi], **kw)
-    bwd = rk45.integrate(rhs, -X_MAX, [rho_mid], [ev_lo], **kw)
+    fwd = rk45.integrate(rhs, X_MAX, [rho_mid],
+                         [lambda x, y: y[0] - cut_hi], **kw)
+    bwd = rk45.integrate(rhs, -X_MAX, [rho_mid],
+                         [lambda x, y: y[0] - cut_lo], **kw)
     xs = np.concatenate([bwd.t[::-1], fwd.t[1:]])
     rho = np.concatenate([bwd.y[0, ::-1], fwd.y[0, 1:]])
 
@@ -343,7 +343,7 @@ def shoot_heteroclinic(shock, model, **overrides):
 
       * entering the tol_conn ball of the far state  -> connected
       * leaving the physical domain                  -> escaped_domain
-      * det M(psi) below tol_det along the orbit     -> singular_matrix
+      * det M(psi) below TOL_DET ||M|| on the orbit  -> singular_matrix
       * arclength budget exhausted                   -> no_connection,
         unless the tail certifies a shrinking spiral around the target
         (three successive windings inside the TOL_SPIRAL ball), which
@@ -359,10 +359,8 @@ def shoot_heteroclinic(shock, model, **overrides):
     rho_floor = 1e-10 * shock.rho_minus
 
     try:
-        rp_minus = rest_point_classify("minus", shock.state_minus, model,
-                                       eos, st["tol_det"])
-        rp_plus = rest_point_classify("plus", shock.state_plus, model,
-                                      eos, st["tol_det"])
+        rp_minus = rest_point_classify("minus", shock.state_minus, model, eos)
+        rp_plus = rest_point_classify("plus", shock.state_plus, model, eos)
     except SingularMatrix as exc:
         return ProfileResult("singular_matrix", shock, model,
                              reason=str(exc), settings=st)
@@ -389,7 +387,6 @@ def shoot_heteroclinic(shock, model, **overrides):
         v = -v
     eps = 1e-8 * (np.linalg.norm(wp) + amp)
     tol_conn = st["tol_conn"] * amp
-    tol_det = st["tol_det"]
 
     tgt0, tgt1 = float(tgt[0]), float(tgt[1])
     nan3 = (math.nan,) * 3
@@ -400,7 +397,7 @@ def shoot_heteroclinic(shock, model, **overrides):
             # the controller shrinks it, the cone event ends the orbit
             return nan3
         try:
-            d0, d1 = planar_rhs(y, shock, model, tol_det)
+            d0, d1 = planar_rhs(y, shock, model)
         except SingularMatrix as exc:
             exc.arclength = y[2]
             raise
@@ -410,11 +407,9 @@ def shoot_heteroclinic(shock, model, **overrides):
 
     def ev_conn(x, y):
         return math.hypot(y[0] - tgt0, y[1] - tgt1) - tol_conn
-    ev_conn.terminal = True
 
     def ev_cone(x, y):
         return -y[0] - abs(y[1]) - 1e-12
-    ev_cone.terminal = True
 
     def ev_rho(x, y):
         d = y[0] ** 2 - y[1] ** 2
@@ -422,11 +417,9 @@ def shoot_heteroclinic(shock, model, **overrides):
             return -1.0
         rho = eos.rho(d ** -0.5)
         return min(rbar - rho, rho - rho_floor)
-    ev_rho.terminal = True
 
     def ev_arc(x, y):
         return y[2] - ARC_BUDGET * amp
-    ev_arc.terminal = True
 
     y0 = np.array([src[0] + eps * v[0], src[1] + eps * v[1], 0.0])
     try:
@@ -438,8 +431,9 @@ def shoot_heteroclinic(shock, model, **overrides):
                              reason=str(exc), rest_points=reports,
                              arclength=exc.arclength, settings=st)
 
-    hit = {name: len(te) > 0 for name, te in
-           zip(("conn", "cone", "rho", "arc"), sol.t_events)}
+    # the event that ended the orbit, by name; None when none did
+    ended = (None if sol.event is None
+             else ("conn", "cone", "rho", "arc")[sol.event])
     w_traj = sol.y[:2].T
     arclen = float(sol.y[2, -1]) if sol.y.shape[1] else 0.0
 
@@ -448,41 +442,39 @@ def shoot_heteroclinic(shock, model, **overrides):
                              rest_points=reports, n_steps=sol.t.size,
                              arclength=arclen, settings=st)
 
-    if sol.status < 0 and not any(hit.values()):
+    if sol.status < 0:
         # step size underflow: the integrator ground to a halt without
         # reaching any event.  Find out what it ran into.
         return failed(*_diagnose_stall(w_traj[-1], direction, model, eos, q,
-                                       tol_det, rbar, rho_floor, amp))
+                                       rbar, rho_floor, amp))
 
-    if hit["cone"] or hit["rho"]:
+    if ended in ("cone", "rho"):
         return failed("escaped_domain", "orbit left the physical domain")
 
     spiral_target = bool(np.any(
         np.abs(tgt_rp.eigenvalues.imag)
-        > st["tol_osc"] * np.abs(tgt_rp.eigenvalues)))
+        > TOL_OSC * np.abs(tgt_rp.eigenvalues)))
 
-    if not hit["conn"]:
-        if spiral_target and _spiral_certificate(w_traj, tgt, amp):
-            return _assemble(shock, model, sol, direction, src_rp, tgt_rp,
-                             reports, st, amp,
-                             "connected_oscillatory",
-                             reason="budget ended inside a shrinking "
-                                    "spiral around the target")
+    if ended != "conn" and not (spiral_target
+                                and _spiral_certificate(w_traj, tgt, amp)):
         return failed("no_connection",
-                      "arclength budget exhausted" if hit["arc"]
+                      "arclength budget exhausted" if ended == "arc"
                       else f"integrator stopped (status {sol.status})")
 
     th = (w_traj[:, 0] ** 2 - w_traj[:, 1] ** 2) ** -0.5
     rho_traj = np.array([eos.rho(t) for t in th])
-    cls = ("connected_oscillatory"
-           if spiral_target or oscillation_detect(rho_traj)
-           else "connected_monotone")
-    return _assemble(shock, model, sol, direction, src_rp, tgt_rp,
-                     reports, st, amp, cls)
+    if ended != "conn":
+        cls, reason = ("connected_oscillatory", "budget ended inside a "
+                       "shrinking spiral around the target")
+    elif spiral_target or oscillation_detect(rho_traj):
+        cls, reason = "connected_oscillatory", ""
+    else:
+        cls, reason = "connected_monotone", ""
+    return _assemble(shock, model, sol, direction, th, rho_traj, reports,
+                     st, amp, cls, reason)
 
 
-def _diagnose_stall(w, direction, model, eos, q, tol_det, rbar, rho_floor,
-                    amp):
+def _diagnose_stall(w, direction, model, eos, q, rbar, rho_floor, amp):
     """Post-mortem for a step-size underflow.
 
     The integrator cannot cross the singular locus of M or the domain
@@ -501,7 +493,7 @@ def _diagnose_stall(w, direction, model, eos, q, tol_det, rbar, rho_floor,
     if rho >= rbar * (1.0 - 1e-9) or rho <= rho_floor * (1.0 + 1e-9):
         return "escaped_domain", "stalled at the admissible density bound"
     M = model.matrix(state)
-    d0, _ = _det(M.ravel().tolist(), tol_det)
+    d0, _ = _det(M.ravel().tolist())
     tangent = direction * np.linalg.solve(M, flux(state, eos) - q)
     nt = np.linalg.norm(tangent)
     if nt > 0.0:
@@ -511,7 +503,7 @@ def _diagnose_stall(w, direction, model, eos, q, tol_det, rbar, rho_floor,
             if -wk[0] - abs(wk[1]) <= 0.0:
                 break
             mk = model.entries(*FluidState(-wk[0], wk[1]).theta_u())
-            dk, singular = _det(mk, tol_det)
+            dk, singular = _det(mk)
             if dk * d0 < 0.0 or singular:
                 return ("singular_matrix",
                         "orbit ran into the singular locus of the "
@@ -538,17 +530,15 @@ def _spiral_certificate(w_traj, tgt, amp):
     return p3[0] > p3[1] > p3[2]
 
 
-def _assemble(shock, model, sol, direction, src_rp, tgt_rp, reports,
-              st, amp, cls, reason=""):
-    """Order samples by physical x, center, and evaluate diagnostics."""
+def _assemble(shock, model, sol, direction, th, rho, reports, st, amp, cls,
+              reason):
+    """Order samples by physical x, center, and evaluate diagnostics;
+    th and rho are the temperature and density of the samples of sol."""
     eos = shock.eos
     x = direction * sol.t
     w = sol.y[:2].T
     if direction < 0.0:
-        x = x[::-1]
-        w = w[::-1]
-    th = (w[:, 0] ** 2 - w[:, 1] ** 2) ** -0.5
-    rho = np.array([eos.rho(t) for t in th])
+        x, w, th, rho = x[::-1], w[::-1], th[::-1], rho[::-1]
     u1 = th * w[:, 1]
     states = [FluidState(-wi[0], wi[1]) for wi in w]
     lyap = np.array([lyapunov_eval(s, eos, shock.q0, shock.q1)

@@ -1,10 +1,11 @@
 """One event loop over Python floats for every integration method.
 
-`integrate` runs dy/dt = fun(t, y) with terminal events for every
-method a profile can use.  It takes accepted steps from a step source,
-evaluates the events on Python floats after each one and ends the run
-at the earliest root: the event handling of scipy's `solve_ivp`
-without its per-step array work.
+`integrate` runs dy/dt = fun(t, y) with events for every method a
+profile can use.  It takes accepted steps from a step source, evaluates
+the events on Python floats after each one and ends the run at the
+earliest root: every event ends the run, as a terminal event of
+scipy's `solve_ivp` does, without `solve_ivp`'s per-step array work.
+The Solution names the event that ended the run.
 
 RK45 steps come from the package's own Dormand-Prince 5(4) pair, the
 scheme of scipy's `RK45` step for step: the same tableau, initial step
@@ -15,8 +16,8 @@ and three-component profile systems numpy's per-call overhead on tiny
 vectors cost more than the arithmetic it carries out.
 
 Every other method steps a scipy `OdeSolver` directly (`solver.step()`,
-its dense output only when an event fires), and the run returns what
-`solve_ivp` returns, bit for bit.
+its dense output only when an event fires), and the run has the samples,
+status and event time that `solve_ivp` returns, bit for bit.
 """
 
 import functools
@@ -70,12 +71,12 @@ MAX_FACTOR = 10.0
 ERROR_EXPONENT = -1 / 5
 EPS = float(np.finfo(float).eps)
 
-Solution = namedtuple("Solution", "t y status t_events")
+Solution = namedtuple("Solution", "t y status event")
 Solution.__doc__ = """What integrate returns, whatever the method:
 samples t (shape (N,)) and y (shape (n, N)), status 0 (reached
-t_bound), 1 (a terminal event) or -1 (the step size underflowed, or the
-scipy solver failed), and per event an array of the times it fired, as
-solve_ivp returns."""
+t_bound), 1 (an event ended the run) or -1 (the step size underflowed,
+or the scipy solver failed), and event, the index of the event that
+ended the run (its root is the last sample t[-1]) or None."""
 
 
 def _rms(v):
@@ -226,16 +227,13 @@ def integrate(fun, t_bound, y0, events, rtol, atol, method="RK45"):
     sign) with one of METHODS.
 
     fun takes t and y as a list of floats and returns a sequence of
-    floats, whatever the method.  Every event g(t, y) must be terminal:
+    floats, whatever the method.  Every event g(t, y) ends the run:
     after each accepted step the events whose sign changed (g <= 0 then
     >= 0, or the reverse, as in solve_ivp) are located by brentq on the
     step's dense output, and the earliest root along the direction of
     integration ends the run as its last sample, the lower event index
     winning a tie.  Returns a Solution.
     """
-    for ev in events:
-        if not getattr(ev, "terminal", False):
-            raise ValueError("every event must be terminal")
     direction = 1.0 if t_bound > 0.0 else -1.0
     t = 0.0
     y = [float(v) for v in y0]
@@ -249,7 +247,7 @@ def integrate(fun, t_bound, y0, events, rtol, atol, method="RK45"):
                                        y0, t_bound, rtol=rtol, atol=atol)
         steps, interpolant = _scipy_steps(solver), solver.dense_output
     ts, ys = [t], [y]
-    t_events = [[] for _ in events]
+    event = None
     g = [ev(t, y) for ev in events]
     status = -1
     for t_new, y, data in steps:
@@ -267,7 +265,7 @@ def integrate(fun, t_bound, y0, events, rtol, atol, method="RK45"):
             # earliest root along the direction of integration; the
             # lower event index wins a tie
             j = min(range(len(roots)), key=lambda j: direction * roots[j])
-            t_events[active[j]].append(roots[j])
+            event = active[j]
             t, y = roots[j], y_at(roots[j])
             status = 1
         g = g_new
@@ -275,5 +273,4 @@ def integrate(fun, t_bound, y0, events, rtol, atol, method="RK45"):
         ys.append(y)
         if status >= 0:
             break
-    return Solution(np.array(ts), np.array(ys).T, status,
-                    [np.array(te) for te in t_events])
+    return Solution(np.array(ts), np.array(ys).T, status, event)

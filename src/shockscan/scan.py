@@ -73,8 +73,7 @@ def compute_profile(shock, model, **overrides):
     The viscous-only tensor reduces to a scalar ODE solved by
     quadrature; every other tensor is shot along the saddle
     separatrix.  overrides are solver settings (rtol, atol, tol_conn,
-    tol_det, tol_osc, method); the CLI and every scan point come
-    through here.
+    method); the CLI and every scan point come through here.
     """
     if model.tag == "ft-viscous":
         return scalar_profile_ft(shock, model.co, **overrides)

@@ -91,6 +91,9 @@ def test_scalar_csv_roundtrip(tmp_path, shock_rad):
 def test_settings_validation(shock_rad):
     with pytest.raises(TypeError):
         scalar_profile_ft(shock_rad, FtCoefficients(1.0), frobnicate=3)
+    # fixed tolerances are no longer settings
+    with pytest.raises(TypeError, match="unknown solver setting 'tol_det'"):
+        scalar_profile_ft(shock_rad, FtCoefficients(1.0), tol_det=1e-9)
     # None overrides are ignored (CLI passes unset flags through)
     res = scalar_profile_ft(shock_rad, FtCoefficients(1.0), rtol=None)
     assert res.connected
@@ -282,9 +285,32 @@ def test_oscillation_detect():
 # other method steps scipy's own solver
 
 def solve_ivp_oracle(fun, t_bound, y0, events, rtol, atol, method="RK45"):
-    """rk45.integrate's contract, run by solve_ivp."""
+    """rk45.integrate's contract, run by solve_ivp; the events must be
+    terminal for solve_ivp to end the run on them."""
     return solve_ivp(lambda t, y: fun(t, y.tolist()), (0.0, t_bound), y0,
                      method=method, events=events, rtol=rtol, atol=atol)
+
+
+def fired(ref):
+    """The index of the event that ended a solve_ivp run, or None: the
+    one entry of t_events that holds a time."""
+    hits = [i for i, te in enumerate(ref.t_events) if te.size]
+    assert len(hits) <= 1 and all(ref.t_events[i].size == 1 for i in hits)
+    return hits[0] if hits else None
+
+
+def solve_ivp_integrate(fun, t_bound, y0, events, rtol, atol,
+                        method="RK45"):
+    """solve_ivp_oracle as a drop-in rk45.integrate: every event made
+    terminal, the result a Solution."""
+    terminal = []
+    for ev in events:
+        def g(t, y, ev=ev):
+            return ev(t, y)
+        g.terminal = True
+        terminal.append(g)
+    ref = solve_ivp_oracle(fun, t_bound, y0, terminal, rtol, atol, method)
+    return rk45.Solution(ref.t, ref.y, ref.status, fired(ref))
 
 
 def _shot_fun(shock):
@@ -356,7 +382,7 @@ def test_rk45_bdn_shot_matches_scipy(s, monkeypatch):
     sd = shock_from_strength(RAD, 1.0, s)
     m = make_model("bdn", RAD, eta=1.0, mu=4.0 / 3.0, nu=4.0)
     got = shoot_heteroclinic(sd, m)
-    monkeypatch.setattr(rk45, "integrate", solve_ivp_oracle)
+    monkeypatch.setattr(rk45, "integrate", solve_ivp_integrate)
     want = shoot_heteroclinic(sd, m)
     assert got.classification == want.classification
     assert got.connected
@@ -369,7 +395,7 @@ def test_rk45_bdn_shot_matches_scipy(s, monkeypatch):
 def test_rk45_backward_scalar_run_matches_scipy(shock_rad, monkeypatch):
     # the x < 0 half of the viscous profile is integrated backward
     got = scalar_profile_ft(shock_rad, FtCoefficients(1.0))
-    monkeypatch.setattr(rk45, "integrate", solve_ivp_oracle)
+    monkeypatch.setattr(rk45, "integrate", solve_ivp_integrate)
     want = scalar_profile_ft(shock_rad, FtCoefficients(1.0))
     assert got.n_steps == want.n_steps
     assert np.sum(got.x < 0.0) == np.sum(want.x < 0.0) > 10
@@ -406,7 +432,9 @@ def test_rk45_rejects_nan_trial_step():
     assert poisoned
     assert np.all(np.isfinite(sol.y)) and np.all(sol.y < 1.0)
     assert sol.status == ref.status == 1
-    assert sol.t_events[0] == pytest.approx([0.999], rel=1e-14)
+    assert sol.event == fired(ref) == 0
+    assert sol.t[-1] == pytest.approx(ref.t_events[0][0], rel=1e-14)
+    assert sol.t[-1] == pytest.approx(0.999, rel=1e-14)
     assert sol.t.size == ref.t.size
     assert np.allclose(sol.t, ref.t, rtol=1e-14, atol=0.0)
 
@@ -472,9 +500,9 @@ def test_rk45_earliest_terminal_event_wins(direction):
     sol = rk45.integrate(fun, t_bound, y0, events, 1e-10, 1e-12)
     ref = solve_ivp_oracle(fun, t_bound, y0, events, 1e-10, 1e-12)
     assert sol.status == ref.status == 1
-    assert [len(te) for te in sol.t_events] == [0, 1]
-    assert [len(te) for te in ref.t_events] == [0, 1]
-    assert sol.t[-1] == sol.t_events[1][0] == pytest.approx(0.4 * direction)
+    assert sol.event == fired(ref) == 1
+    assert sol.t[-1] == pytest.approx(ref.t_events[1][0], rel=1e-14)
+    assert sol.t[-1] == pytest.approx(0.4 * direction)
     assert sol.t.size == ref.t.size
 
 
@@ -486,7 +514,8 @@ def test_rk45_earliest_terminal_event_wins(direction):
 def test_scipy_method_matches_solve_ivp_bit_for_bit(case, direction,
                                                     method):
     # the shared event loop steps scipy's solver itself: the same
-    # samples, status and event times as solve_ivp, to the last bit
+    # samples, status, ending event and event time as solve_ivp, to the
+    # last bit
     fun, t_bound, y0, events = case(direction)
     sol = rk45.integrate(fun, t_bound, y0, events, 1e-9, 1e-11,
                          method=method)
@@ -495,15 +524,6 @@ def test_scipy_method_matches_solve_ivp_bit_for_bit(case, direction,
     assert sol.status == ref.status
     assert np.array_equal(sol.t, ref.t)
     assert np.array_equal(sol.y, ref.y)
-    assert len(sol.t_events) == len(ref.t_events)
-    for got, want in zip(sol.t_events, ref.t_events):
-        assert np.array_equal(got, want)
-
-
-@pytest.mark.parametrize("method", ["RK45", "LSODA"])
-def test_rk45_events_must_be_terminal(method):
-    def ev(t, y):
-        return y[0]
-    with pytest.raises(ValueError, match="terminal"):
-        rk45.integrate(lambda t, y: [1.0], 1.0, [0.0], [ev], 1e-6, 1e-9,
-                       method=method)
+    assert sol.event == fired(ref)
+    if sol.event is not None:
+        assert sol.t[-1] == ref.t_events[sol.event][0]

@@ -227,6 +227,31 @@ def test_cli_config_errors(capsys, tmp_path, monkeypatch):
                  "--method", "foo", "--out", str(tmp_path)]) == 1
     assert "unknown integrator 'foo'" in capsys.readouterr().err
     assert not (tmp_path / "scan.csv").exists()
+    # fixed tolerances are no longer flags, and a scan takes no one shock
+    assert main(["profile", "--eos", "radiation", "--q1", "3",
+                 "--strength", "0.5", "--model", "ft-viscous", "--eta", "1",
+                 "--tol-det", "1e-9", "--out", str(tmp_path)]) == 1
+    assert "unrecognized arguments: --tol-det" in capsys.readouterr().err
+    assert main(["scan", "--eos", "radiation", "--q1", "1", "--model", "bdn",
+                 "--mu", "4/3", "--nu", "4", "--strength", "0.5",
+                 "--out", str(tmp_path)]) == 1
+    assert "unrecognized arguments: --strength" in capsys.readouterr().err
+    assert not (tmp_path / "scan.csv").exists()
+    # an unknown config key is named, before any work
+    ini = tmp_path / "typo.ini"
+    ini.write_text(CONFIG.format(out=tmp_path).replace(
+        "[model]\n", "[model]\nchii = 0.5\n"))
+    assert main(["profile", "--config", str(ini)]) == 1
+    assert "unknown config key 'chii' in [model]" in capsys.readouterr().err
+    assert not (tmp_path / "profile.json").exists()
+    ini.write_text(CONFIG.format(out=tmp_path) + "[solver]\ntol_det = 1e-9\n")
+    assert main(["profile", "--config", str(ini)]) == 1
+    assert ("unknown config key 'tol_det' in [solver]"
+            in capsys.readouterr().err)
+    ini.write_text(CONFIG.format(out=tmp_path) + "[solvr]\nrtol = 1e-9\n")
+    assert main(["profile", "--config", str(ini)]) == 1
+    assert "unknown config section [solvr]" in capsys.readouterr().err
+    assert not (tmp_path / "profile.json").exists()
     # a malformed worker count in the environment names the variable
     monkeypatch.setenv("SHOCKSCAN_WORKERS", "abc")
     assert main(["scan", "--eos", "radiation", "--q1", "1", "--model", "bdn",
@@ -369,12 +394,18 @@ dir = {out}
 
 
 def test_cli_config_file(tmp_path, capsys):
+    # one file serves both subcommands: a key that only the other one
+    # reads ([scan] for profile, [shock] strength for scan) is ignored
     ini = tmp_path / "run.ini"
-    ini.write_text(CONFIG.format(out=tmp_path))
+    ini.write_text(CONFIG.format(out=tmp_path)
+                   + "[scan]\nstrengths = 0.3\nworkers = 1\n")
     rc = main(["profile", "--config", str(ini)])
     assert rc == 0
     d = json.loads((tmp_path / "profile.json").read_text())
     assert d["shock"]["strength"] == pytest.approx(0.5)
+    assert main(["scan", "--config", str(ini)]) == 0
+    rows = (tmp_path / "scan.csv").read_text().splitlines()
+    assert len(rows) == 2 and rows[1].startswith("3,0.29999999999999999,")
 
 
 def test_cli_flag_overrides_config(tmp_path):
