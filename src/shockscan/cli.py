@@ -15,9 +15,9 @@ options accept fractions like 4/3.
 
 Exit codes: 0 success (end states found, profile connected, scan or
 classification completed); 1 configuration error (bad flags, malformed
-config, model/EOS mismatch, empty grid); 2 no shock for the requested
-fluxes; 3 profile failure classification (no_connection,
-escaped_domain, singular_matrix).
+config, model/EOS mismatch, an ft tensor with sigma <= 0 at the shock,
+empty grid); 2 no shock for the requested fluxes; 3 profile failure
+classification (no_connection, escaped_domain, singular_matrix).
 """
 
 import argparse
@@ -88,12 +88,16 @@ def build_parser():
             p.add_argument("--gnuplot", action="store_true", default=None,
                            help="also write a gnuplot script")
 
-    p_rh = sub.add_parser("rh", help="end states from the jump conditions")
+    # no abbreviations: a prefix of a flag would change meaning when a
+    # longer flag is added, as --strength would pass for --strengths
+    p_rh = sub.add_parser("rh", help="end states from the jump conditions",
+                          allow_abbrev=False)
     common(p_rh, model=False)
     p_rh.add_argument("--json", action="store_true",
                       help="write rh.json to the output directory")
 
-    p_prof = sub.add_parser("profile", help="compute one dissipation profile")
+    p_prof = sub.add_parser("profile", help="compute one dissipation profile",
+                            allow_abbrev=False)
     common(p_prof)
 
     # one shock: rh and profile only, so scan refuses these flags
@@ -103,7 +107,6 @@ def build_parser():
         p.add_argument("--q0", type=fracfloat,
                        help="energy flux (alternative to --strength)")
 
-    # no abbreviations: --strength must not pass for --strengths
     p_scan = sub.add_parser("scan", help="classify profiles over a grid",
                             allow_abbrev=False)
     common(p_scan)

@@ -57,6 +57,11 @@ def ft_coefficients(t, eos, co):
 
     so that (4/3) eta + zeta_check = sigma identically.  Requires a
     subluminal sound speed; at cs^2 >= 1 the combination degenerates.
+    Requires sigma > 0: the planar matrix sigma theta Pi + chi theta^2
+    U (x) U is positive definite exactly when sigma > 0 and chi > 0
+    (det = sigma chi theta^3), and at sigma <= 0 the tensor is not
+    dissipative.  Both ft paths, the heat shot and the viscous
+    quadrature, evaluate sigma here, so this is their one check.
     """
     c2 = eos.cs2(t)
     if c2 >= 1.0:
@@ -64,6 +69,10 @@ def ft_coefficients(t, eos, co):
             f"sound speed is luminal or worse (cs^2 = {c2:g}); the "
             "effective viscosity sigma is undefined")
     sigma = (4.0 * co.eta / 3.0 + co.zeta) / (1.0 - c2) - c2 * co.chi * t
+    if sigma <= 0.0:
+        raise CausalityError(
+            f"effective viscosity sigma = {sigma:g} <= 0 at theta = {t:g}; "
+            "the ft tensor is not dissipative there")
     zeta_check = co.zeta + c2 * sigma - c2 * (1.0 - c2) * co.chi * t
     return sigma, zeta_check
 

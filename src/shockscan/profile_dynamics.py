@@ -27,7 +27,7 @@ from scipy.integrate import quad
 from . import rk45
 from .fluid_core import DomainError, FluidState, stress_hessian, flux
 from .rankine_hugoniot import u1_of_rho
-from .dissipation import DissipationModel, ft_coefficients, CausalityError
+from .dissipation import DissipationModel, ft_coefficients
 
 
 class SingularMatrix(RuntimeError):
@@ -46,12 +46,10 @@ class SingularMatrix(RuntimeError):
             f"|det M| = {detval:.3e}")
 
 
-# Fixed shooting limits: the orbit length allowed to a shot and the
-# radius of the spiral certificate, both in units of the end-state
-# distance, and the x horizon of every integration.
+# Fixed shooting limits: the orbit length allowed to a shot, in units
+# of the end-state distance, and the x horizon of every integration.
 ARC_BUDGET = 1e4
 X_MAX = 1e9
-TOL_SPIRAL = 1e-3
 # M counts as singular when |det M| < TOL_DET ||M||; a rest state is a
 # spiral when an eigenvalue has |Im| > TOL_OSC |lambda|
 TOL_DET = 1e-10
@@ -246,12 +244,18 @@ def scalar_profile_ft(shock, co, **overrides):
     u1 = u1(rho) and the density obeys
 
         drho/dx = R(rho) * q0^2 / (sigma(rho) (rho+q1) u1(rho)^3),
-        R(rho)  = q1 - p(rho) - (rho + p(rho)) u1(rho)^2,
+        R(rho)  = q1 - p(rho) - (rho + p(rho)) u1(rho)^2
+                = (rho + q1) (g(rho) - r) / ((rho + q1)^2 - q0^2),
 
-    with R > 0 strictly between the end states, so the profile exists,
-    is monotone, and is unique up to translation.  Integration starts
-    at the midpoint density (x = 0) and runs both ways until rho is
-    within tol_conn * amplitude of the end states.  Requires co.chi = 0.
+    with g the jump function and r = q0^2 - q1^2, and sigma > 0
+    (ft_coefficients refuses sigma <= 0).  So R vanishes at the end
+    states, and when g is unimodal R > 0 strictly between them: the
+    profile exists, is monotone, and is unique up to translation.  A
+    g that is not unimodal (q_max warns) can dip below r in between,
+    and a sampled sign check refuses that as no_connection.
+    Integration starts at the midpoint density (x = 0) and runs both
+    ways until rho is within tol_conn * amplitude of the end states.
+    Requires co.chi = 0.
     """
     eos = shock.eos
     model = DissipationModel("ft-viscous", co, eos)
@@ -269,20 +273,12 @@ def scalar_profile_ft(shock, co, **overrides):
         u1 = u1_of_rho(eos, rho, q0, q1)
         state = FluidState.from_rho_u1(eos, rho, u1)
         sig, _ = ft_coefficients(state.theta, eos, co)
-        if sig <= 0.0:
-            raise CausalityError(f"sigma(rho={rho:g}) = {sig:g} <= 0")
         return R_of(rho) * q0 ** 2 / (sig * (rho + q1) * u1 ** 3)
 
-    # sign structure: R vanishes at the end states and is positive
-    # strictly between them, otherwise the quadrature is meaningless
+    # a zero of R between the end states is a rest point the
+    # quadrature cannot cross
     interior = rm + amp * np.linspace(0.02, 0.98, 25)
-    Rv = np.array([R_of(r) for r in interior])
-    scale = max(abs(R_of(0.5 * (rm + rp))), 1e-300)
-    if abs(R_of(rm)) > 1e-8 * scale or abs(R_of(rp)) > 1e-8 * scale:
-        return ProfileResult("no_connection", shock, model,
-                             reason="R does not vanish at the end states",
-                             settings=st)
-    if Rv.min() <= 0.0:
+    if min(R_of(r) for r in interior) <= 0.0:
         return ProfileResult("no_connection", shock, model,
                              reason="R changes sign between the end states",
                              settings=st)
@@ -344,10 +340,10 @@ def shoot_heteroclinic(shock, model, **overrides):
       * entering the tol_conn ball of the far state  -> connected
       * leaving the physical domain                  -> escaped_domain
       * det M(psi) below TOL_DET ||M|| on the orbit  -> singular_matrix
-      * arclength budget exhausted                   -> no_connection,
-        unless the tail certifies a shrinking spiral around the target
-        (three successive windings inside the TOL_SPIRAL ball), which
-        counts as connected_oscillatory.
+      * arclength budget or x horizon exhausted      -> no_connection
+
+    A connected orbit is oscillatory when the target is a spiral or
+    the density samples are not monotone, and carries no reason.
     """
     st = _default_settings(**overrides)
     eos = shock.eos
@@ -450,28 +446,22 @@ def shoot_heteroclinic(shock, model, **overrides):
 
     if ended in ("cone", "rho"):
         return failed("escaped_domain", "orbit left the physical domain")
-
-    spiral_target = bool(np.any(
-        np.abs(tgt_rp.eigenvalues.imag)
-        > TOL_OSC * np.abs(tgt_rp.eigenvalues)))
-
-    if ended != "conn" and not (spiral_target
-                                and _spiral_certificate(w_traj, tgt, amp)):
+    if ended != "conn":
         return failed("no_connection",
                       "arclength budget exhausted" if ended == "arc"
                       else f"integrator stopped (status {sol.status})")
 
     th = (w_traj[:, 0] ** 2 - w_traj[:, 1] ** 2) ** -0.5
     rho_traj = np.array([eos.rho(t) for t in th])
-    if ended != "conn":
-        cls, reason = ("connected_oscillatory", "budget ended inside a "
-                       "shrinking spiral around the target")
-    elif spiral_target or oscillation_detect(rho_traj):
-        cls, reason = "connected_oscillatory", ""
+    spiral_target = bool(np.any(
+        np.abs(tgt_rp.eigenvalues.imag)
+        > TOL_OSC * np.abs(tgt_rp.eigenvalues)))
+    if spiral_target or oscillation_detect(rho_traj):
+        cls = "connected_oscillatory"
     else:
-        cls, reason = "connected_monotone", ""
+        cls = "connected_monotone"
     return _assemble(shock, model, sol, direction, th, rho_traj, reports,
-                     st, amp, cls, reason)
+                     st, amp, cls)
 
 
 def _diagnose_stall(w, direction, model, eos, q, rbar, rho_floor, amp):
@@ -511,27 +501,7 @@ def _diagnose_stall(w, direction, model, eos, q, rbar, rho_floor, amp):
     return "no_connection", "integrator stalled (step size underflow)"
 
 
-def _spiral_certificate(w_traj, tgt, amp):
-    """Budget ran out: accept only a documented shrinking spiral.
-
-    Looks for at least three successive radius maxima (one per winding)
-    that decrease and all sit inside TOL_SPIRAL * amplitude of the
-    target.
-    """
-    r = np.linalg.norm(w_traj - tgt, axis=1)
-    if r.size < 16 or r[-1] > TOL_SPIRAL * amp:
-        return False
-    inner = r < TOL_SPIRAL * amp
-    peaks = [i for i in range(1, len(r) - 1)
-             if inner[i] and r[i] >= r[i - 1] and r[i] >= r[i + 1]]
-    if len(peaks) < 3:
-        return False
-    p3 = [r[i] for i in peaks[-3:]]
-    return p3[0] > p3[1] > p3[2]
-
-
-def _assemble(shock, model, sol, direction, th, rho, reports, st, amp, cls,
-              reason):
+def _assemble(shock, model, sol, direction, th, rho, reports, st, amp, cls):
     """Order samples by physical x, center, and evaluate diagnostics;
     th and rho are the temperature and density of the samples of sol."""
     eos = shock.eos
@@ -553,7 +523,7 @@ def _assemble(shock, model, sol, direction, th, rho, reports, st, amp, cls,
         "left": float(np.linalg.norm(w[0] - shock.state_minus.cov)) / amp,
         "right": float(np.linalg.norm(w[-1] - shock.state_plus.cov)) / amp,
     }
-    return ProfileResult(cls, shock, model, reason=reason, x=x, w=w,
+    return ProfileResult(cls, shock, model, x=x, w=w,
                          rho=rho, u1=u1, lyap=lyap, rest_points=reports,
                          endpoint_errors=err, width=width,
                          n_steps=sol.t.size,
@@ -567,8 +537,6 @@ def _first_crossing(x, rho, level):
         return x[int(np.argmin(np.abs(rho - level)))]
     i = int(idx[0])
     r0, r1 = rho[i], rho[i + 1]
-    if r1 == r0:
-        return x[i]
     return x[i] + (level - r0) * (x[i + 1] - x[i]) / (r1 - r0)
 
 

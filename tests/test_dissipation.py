@@ -181,6 +181,37 @@ def test_ft_collapses_to_projector_form():
         assert np.abs(M - want).max() <= 1e-11 * np.abs(want).max()
 
 
+def test_ft_positive_definite_certificate():
+    # M = sigma theta n (x) n + chi theta^2 U (x) U with n = (u1, u0):
+    # det M = sigma chi theta^3 and tr M = (sigma + chi theta) theta
+    # (1 + 2 u1^2).  A symmetric 2x2 matrix is positive definite iff
+    # det > 0 and tr > 0, so at theta > 0 iff sigma > 0 and chi > 0:
+    # det > 0 gives sigma and chi one sign, tr > 0 makes it positive
+    sympy = pytest.importorskip("sympy")
+    sigma, chi, b = sympy.symbols("sigma chi b", real=True)
+    t = sympy.symbols("theta", positive=True)
+    u0 = sympy.sqrt(1 + b ** 2)
+    n, U = sympy.Matrix([b, u0]), sympy.Matrix([u0, b])
+    M = sigma * t * n * n.T + chi * t ** 2 * U * U.T
+    assert M == M.T
+    assert sympy.simplify(M.det() - sigma * chi * t ** 3) == 0
+    assert sympy.simplify(M.trace()
+                          - (sigma + chi * t) * t * (1 + 2 * b ** 2)) == 0
+
+
+def test_ft_coefficients_refuse_nondissipative_sigma():
+    # radiation: sigma = 2 - chi theta / 3 for eta = 1, so chi = 10
+    # makes sigma <= 0 from theta = 3/5 on
+    co = FtCoefficients(1.0, chi=10.0)
+    assert ft_coefficients(0.5, RAD, co)[0] == pytest.approx(2.0 - 5.0 / 3.0)
+    with pytest.raises(CausalityError,
+                       match=r"sigma = -1\.33333 <= 0 at theta = 1\b"):
+        ft_coefficients(1.0, RAD, co)
+    # the heat shot and the viscous quadrature both read sigma there
+    with pytest.raises(CausalityError):
+        DissipationModel("ft-heat", co, RAD).matrix(REST)
+
+
 def test_ft_viscous_action_is_sigma_du():
     # with chi = 0 the matrix acts as sigma times the contravariant
     # velocity increment induced by dw

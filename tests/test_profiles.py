@@ -10,9 +10,10 @@ from scipy.integrate._ivp.rk import rk_step
 
 from shockscan import (
     DomainError, FluidState, FtCoefficients, MonomialEos, SingularMatrix,
-    flux, lyapunov_eval, make_model, oscillation_detect, planar_rhs,
-    radiation_eos, rest_point_classify, rk45, scalar_profile_ft,
-    shock_from_strength, shoot_heteroclinic,
+    RestPointReport, flux, lyapunov_eval, make_model, oscillation_detect,
+    parse_eos_expression, planar_rhs, profile_dynamics, radiation_eos,
+    rest_point_classify, rk45, scalar_profile_ft, shock_from_strength,
+    shoot_heteroclinic, u1_of_rho,
 )
 
 from test_dissipation import bdn_matrix_symbolic
@@ -74,6 +75,31 @@ def test_scalar_power_law():
     res = scalar_profile_ft(sd, FtCoefficients(1.0, 0.3))
     assert res.classification == "connected_monotone"
     assert np.all(np.diff(res.rho) > 0.0)
+
+
+def test_scalar_R_is_the_jump_function_excess():
+    # R = q1 - p - (rho + p) u1^2 with u1^2 = q0^2 / ((rho+q1)^2 - q0^2)
+    # equals (rho + q1) (g - r) / ((rho + q1)^2 - q0^2): R vanishes
+    # exactly at the end states and has the sign of g - r between them
+    sympy = pytest.importorskip("sympy")
+    rho, p, q0, q1 = sympy.symbols("rho p q0 q1", positive=True)
+    den = (rho + q1) ** 2 - q0 ** 2
+    R = q1 - p - (rho + p) * q0 ** 2 / den
+    g, r = -rho * p + q1 * (rho - p), q0 ** 2 - q1 ** 2
+    assert sympy.simplify(R - (rho + q1) * (g - r) / den) == 0
+
+
+@pytest.mark.filterwarnings("ignore:genuine nonlinearity fails")
+def test_scalar_refuses_R_sign_change():
+    # a cs^2 that falls steeply with theta makes g bimodal; at q1 = 1.3,
+    # s = 0.9 it dips below r between 9.5% and 12% of the jump, where
+    # R has two zeros the quadrature could not cross
+    eos = parse_eos_expression("p(theta) = theta^3 + theta^40")
+    sd = shock_from_strength(eos, 1.3, 0.9)
+    res = scalar_profile_ft(sd, FtCoefficients(1.0))
+    assert res.classification == "no_connection"
+    assert res.reason == "R changes sign between the end states"
+    assert res.n_steps == 0 and res.x is None
 
 
 def test_scalar_csv_roundtrip(tmp_path, shock_rad):
@@ -159,6 +185,102 @@ def test_bdn_acausal_no_saddle():
     res = shoot_heteroclinic(sd, m)
     assert res.classification == "no_connection"
     assert "no saddle" in res.reason
+
+
+# ------------------------------------------------------- failure reasons
+# Each failure branch of shoot_heteroclinic, produced by a small input.
+
+def test_singular_matrix_at_a_rest_point():
+    # Eckart without heat conduction: M = e theta u0^2 Pi has rank one
+    sd = shock_from_strength(RAD, 1.0, 0.5)
+    m = make_model("eckart", RAD, eta=1.0, zeta=1.0)
+    res = shoot_heteroclinic(sd, m)
+    assert res.classification == "singular_matrix"
+    assert res.reason.startswith("profile matrix singular at w = (")
+    assert res.rest_points == [] and res.n_steps == 0
+
+
+def test_singular_matrix_inside_the_integration():
+    # planar_rhs raises SingularMatrix mid-orbit; the shot reports the
+    # arclength travelled to it
+    sd = shock_from_strength(RAD, 0.1, 0.5)
+    m = make_model("bdn", RAD, eta=1.0, mu=10.0, nu=100.0)
+    res = shoot_heteroclinic(sd, m)
+    assert res.classification == "singular_matrix"
+    assert res.reason.startswith("profile matrix singular at w = (")
+    assert [rp.kind for rp in res.rest_points] == ["sink", "saddle"]
+    assert 0.0 < res.arclength < 1.0
+
+
+@pytest.mark.parametrize("name, value, reason", [
+    ("ARC_BUDGET", 0.5, "arclength budget exhausted"),
+    ("X_MAX", 1.0, "integrator stopped (status 0)"),
+], ids=["arclength", "horizon"])
+def test_shot_ends_short_of_the_target(monkeypatch, name, value, reason):
+    # the arclength event and the x horizon, each set short of an orbit
+    # that connects under the defaults
+    monkeypatch.setattr(profile_dynamics, name, value)
+    sd = shock_from_strength(RAD, 1.0, 0.5)
+    m = make_model("bdn", RAD, eta=1.0, mu=4.0 / 3.0, nu=4.0)
+    res = shoot_heteroclinic(sd, m)
+    assert res.classification == "no_connection"
+    assert res.reason == reason
+    assert res.n_steps > 0 and res.x is None
+
+
+def test_escaped_domain():
+    # acausal BDN (mu < 4 eta / 3): the orbit off the upstream saddle
+    # runs up to rho_bar, where the density event ends it
+    sd = shock_from_strength(RAD, 1.0, 0.95)
+    m = make_model("bdn", RAD, eta=1.0, mu=0.1, nu=20.0)
+    res = shoot_heteroclinic(sd, m)
+    assert res.classification == "escaped_domain"
+    assert res.reason == "orbit left the physical domain"
+    assert [rp.kind for rp in res.rest_points] == ["saddle", "spiral-sink"]
+    assert res.n_steps > 0 and res.x is None
+
+
+def test_stall_diagnosis():
+    # the post-mortem of a step-size underflow, on hand-placed states:
+    # at the light cone, at rho_bar, and mid-shock on the floor
+    # mu = 4 eta / 3, where det M < 0 along the whole probe ray
+    sd = shock_from_strength(RAD, 1.0, 0.5)
+    m = make_model("bdn", RAD, eta=1.0, mu=4.0 / 3.0, nu=2.0)
+    amp = float(np.linalg.norm(sd.state_plus.cov - sd.state_minus.cov))
+    args = (m, RAD, np.array([sd.q0, sd.q1]), sd.rho_bar,
+            1e-10 * sd.rho_minus, amp)
+    diagnose = profile_dynamics._diagnose_stall
+    assert diagnose(np.array([-1.0, 1.0 - 1e-12]), 1.0, *args) == (
+        "escaped_domain", "stalled at the light cone")
+    at_bar = FluidState.from_rho_u1(RAD, sd.rho_bar, 0.3).cov
+    assert diagnose(at_bar, 1.0, *args) == (
+        "escaped_domain", "stalled at the admissible density bound")
+    mid = 0.5 * (sd.rho_minus + sd.rho_plus)
+    w = FluidState.from_rho_u1(RAD, mid, u1_of_rho(RAD, mid, sd.q0, sd.q1))
+    assert diagnose(w.cov, 1.0, *args) == (
+        "no_connection", "integrator stalled (step size underflow)")
+
+
+def test_spiral_source_rest_point():
+    sd = shock_from_strength(RAD, 0.1, 0.05)
+    m = make_model("eckart", RAD, eta=0.1, chi=1.0)
+    res = shoot_heteroclinic(sd, m)
+    kinds = {rp.label: rp.kind for rp in res.rest_points}
+    assert kinds == {"minus": "spiral-source", "plus": "saddle"}
+    assert res.classification == "connected_oscillatory"
+    assert res.reason == ""
+
+
+def test_rest_point_kinds():
+    kind = RestPointReport._classify
+    assert kind(np.array([0.0, 0.0])) == "degenerate"
+    assert kind(np.array([0.0, 1.0])) == "degenerate"
+    assert kind(np.array([1j, -1j])) == "degenerate"
+    assert kind(np.array([1 + 1j, 1 - 1j])) == "spiral-source"
+    assert kind(np.array([-1 + 1j, -1 - 1j])) == "spiral-sink"
+    assert kind(np.array([-1.0, 2.0])) == "saddle"
+    assert kind(np.array([1.0, 2.0])) == "source"
+    assert kind(np.array([-1.0, -2.0])) == "sink"
 
 
 def test_result_summary_json(shock_rad):

@@ -7,7 +7,8 @@ import pickle
 import numpy as np
 import pytest
 
-from shockscan import make_eos, make_model, run_scan, resolve_workers, scan
+from shockscan import (make_eos, make_model, resolve_workers, run_scan, scan,
+                       shock_from_strength)
 from shockscan.scan import ScanRecord
 from shockscan.cli import main
 
@@ -80,6 +81,54 @@ def test_scan_never_aborts_on_bad_points():
     assert [r.classification for r in res.records] == [
         "connected_oscillatory", "no_end_states"]
     assert res.records[1].reason
+
+
+def test_scan_records_refused_points():
+    # ft-heat at chi = 10 has sigma = 2 - 10 theta / 3 < 0 across this
+    # shock: the point is causality_error, named, with no profile
+    res = run_scan("radiation", "ft-heat", {"eta": 1.0, "chi": 10.0},
+                   [1.0], [0.5])
+    (rec,) = res.records
+    assert rec.classification == "causality_error"
+    assert rec.reason == ("effective viscosity sigma = -0.452201 <= 0 at "
+                          "theta = 0.73566; the ft tensor is not "
+                          "dissipative there")
+    assert rec.n_steps == 0 and rec.width is None and rec.eig_minus == ""
+    # a singular matrix at a rest point leaves no rest-point report
+    res = run_scan("radiation", "eckart", {"eta": 1.0, "zeta": 1.0},
+                   [1.0], [0.5])
+    (rec,) = res.records
+    assert rec.classification == "singular_matrix"
+    assert rec.eig_minus == rec.eig_plus == ""
+
+
+def sigma_ft(eos, chi, t):
+    """sigma of the ft tensor at eta = 1, zeta = 0, written out."""
+    c2 = eos.cs2(t)
+    return 4.0 / 3.0 / (1.0 - c2) - c2 * chi * t
+
+
+@pytest.mark.parametrize("eos_spec", ["radiation", "power-law:5/2"])
+@pytest.mark.parametrize("chi", [0.1, 10.0])
+def test_ft_heat_answers_only_where_dissipative(eos_spec, chi):
+    # sigma > 0 between the end states: the profile is monotone, as the
+    # paper claims; sigma <= 0 somewhere there: the point is refused.
+    # LSODA, since explicit RK45 takes seconds on the stiff weak and
+    # strong power-law shocks
+    grid_q1, grid_s = [0.1, 1.0], [0.01, 0.5, 0.99]
+    res = run_scan(eos_spec, "ft-heat", {"eta": 1.0, "chi": chi}, grid_q1,
+                   grid_s, method="LSODA")
+    eos = make_eos(eos_spec)
+    outcomes = set()
+    for rec in res.records:
+        sd = shock_from_strength(eos, rec.q1, rec.strength)
+        ts = np.linspace(sd.state_minus.theta, sd.state_plus.theta, 65)
+        dissipative = min(sigma_ft(eos, chi, t) for t in ts) > 0.0
+        want = "connected_monotone" if dissipative else "causality_error"
+        assert rec.classification == want, (rec.q1, rec.strength)
+        outcomes.add(rec.classification)
+    if chi == 10.0:
+        assert outcomes == {"connected_monotone", "causality_error"}
 
 
 def test_scan_empty_grid():
@@ -232,6 +281,19 @@ def test_cli_config_errors(capsys, tmp_path, monkeypatch):
                  "--strength", "0.5", "--model", "ft-viscous", "--eta", "1",
                  "--tol-det", "1e-9", "--out", str(tmp_path)]) == 1
     assert "unrecognized arguments: --tol-det" in capsys.readouterr().err
+    # no subcommand takes a prefix of a flag for the flag
+    assert main(["rh", "--eos", "radiation", "--q1", "3",
+                 "--stren", "0.5"]) == 1
+    assert "unrecognized arguments: --stren" in capsys.readouterr().err
+    assert main(["profile", "--eos", "radiation", "--q1", "3",
+                 "--strength", "0.5", "--model", "ft-viscous", "--eta", "1",
+                 "--tol-c", "1e-3", "--out", str(tmp_path)]) == 1
+    assert "unrecognized arguments: --tol-c" in capsys.readouterr().err
+    assert main(["profile", "--eos", "radiation", "--q1", "3",
+                 "--stren", "0.5", "--model", "ft-viscous", "--eta", "1",
+                 "--out", str(tmp_path)]) == 1
+    assert "unrecognized arguments: --stren" in capsys.readouterr().err
+    assert not (tmp_path / "profile.json").exists()
     assert main(["scan", "--eos", "radiation", "--q1", "1", "--model", "bdn",
                  "--mu", "4/3", "--nu", "4", "--strength", "0.5",
                  "--out", str(tmp_path)]) == 1
@@ -287,6 +349,16 @@ def test_cli_profile_failure_exit_three(tmp_path, capsys):
     d = json.loads((tmp_path / "profile.json").read_text())
     assert d["classification"] == "singular_matrix"
     assert not (tmp_path / "profile.csv").exists()
+
+
+def test_cli_profile_refuses_nondissipative_ft(tmp_path, capsys):
+    # sigma <= 0 between the end states is a usage error, exit 1
+    rc = main(["profile", "--eos", "radiation", "--q1", "1",
+               "--strength", "0.5", "--model", "ft-heat",
+               "--eta", "1", "--chi", "10", "--out", str(tmp_path)])
+    assert rc == 1
+    assert "sigma = -0.452201 <= 0 at theta" in capsys.readouterr().err
+    assert not (tmp_path / "profile.json").exists()
 
 
 @pytest.mark.parametrize("model, co", [("ft-viscous", FT),
