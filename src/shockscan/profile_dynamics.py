@@ -22,7 +22,6 @@ Classification vocabulary used throughout:
 import math
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import rk45
 from .fluid_core import DomainError, FluidState, stress_hessian, flux
@@ -313,7 +312,9 @@ def scalar_profile_ft(shock, co, **overrides):
             label, st0, np.array([lam], dtype=complex),
             np.array([[1.0]])))
 
-    # width of the layer: x-extent of the middle 90 percent of the jump
+    # width of the layer: x-extent of the middle 90 percent of the jump,
+    # by scipy's quad, imported here so that other paths never load scipy
+    from scipy.integrate import quad
     q_lo, q_hi = rm + 0.05 * amp, rm + 0.95 * amp
     width = quad(lambda r: 1.0 / rho_prime(r), q_lo, q_hi, limit=200)[0]
 

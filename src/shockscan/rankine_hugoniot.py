@@ -11,15 +11,20 @@ whose two roots rho_minus < rho_plus are the upstream and downstream
 energy densities.  g vanishes at rho = 0, rises to its maximum Q at
 rho_star, and falls to -q1^2 at rho_bar (where p(rho_bar) = q1), so
 end states exist exactly for 0 < r < Q.
+
+The roots come from the package's port of scipy's brentq and the
+characteristic speeds from the 2x2 pencil written out, so this module
+imports numpy only.  A shock computes (rho_star, Q) once:
+shock_from_strength hands it to end_states.
 """
 
+import math
 import warnings
 
 import numpy as np
-from scipy.linalg import eigh
-from scipy.optimize import brentq
 
-from .fluid_core import FluidState, stress_hessian, gnl_indicator
+from .brent import brentq
+from .fluid_core import FluidState, flux, stress_hessian, gnl_indicator
 
 _BRENTQ_KW = dict(xtol=1e-300, rtol=8.9e-16, maxiter=200)
 
@@ -98,17 +103,30 @@ def char_speeds(state, eos):
 
     Solves the symmetric pencil H1 v = lam H0 v built from the stress
     Hessian; H0 must be positive definite for the state to be
-    admissible, and a state where it is not raises NoShock.
+    admissible, and a state where it is not raises NoShock.  The
+    reduction is LAPACK's sygvd written out for 2x2: the Cholesky factor
+    H0 = L L^T (potrf), the standard form C = L^-1 H1 L^-T (sygs2), and
+    the eigenvalues of C as its mean -/+ hypot(half-difference,
+    off-diagonal), which forms no discriminant.
     """
     k000, k001, k011, k111 = stress_hessian(state, eos)
-    try:
-        lam = eigh([[k001, k011], [k011, k111]],
-                   [[k000, k001], [k001, k011]], eigvals_only=True)
-    except np.linalg.LinAlgError as exc:
+    # the pivots of H0 as potrf forms them, k000 and k011 - l10^2; the
+    # second is NaN when the first is not > 0
+    l00 = math.sqrt(k000) if k000 > 0.0 else math.nan
+    l10 = k001 * (1.0 / l00)
+    piv = k011 - l10 * l10
+    if not piv > 0.0:
         raise NoShock(
             "mass matrix of the characteristic pencil is not positive "
-            f"definite at {state!r}") from exc
-    return float(lam[0]), float(lam[1])
+            f"definite at {state!r}")
+    l11 = math.sqrt(piv)
+    c00 = k001 / (l00 * l00)
+    a10 = k011 * (1.0 / l00) - 0.5 * c00 * l10
+    c11 = (k111 - a10 * l10 - l10 * a10) / (l11 * l11)
+    c10 = (a10 - 0.5 * c00 * l10) / l11
+    mean = 0.5 * (c00 + c11)
+    rad = math.hypot(0.5 * (c00 - c11), c10)
+    return mean - rad, mean + rad
 
 
 class ShockData:
@@ -164,17 +182,19 @@ class ShockData:
         }
 
 
-def end_states(eos, q0, q1):
+def end_states(eos, q0, q1, cap=None):
     """Solve the jump conditions for (q0, q1); raises NoShock if none.
 
     Needs q0 > q1 > 0 and r = q0^2 - q1^2 strictly below the cap Q.
-    Roots are isolated by bisection inside the guaranteed brackets
-    (0, rho_star) and (rho_star, rho_bar).
+    cap is (rho_star, Q) as q_max(eos, q1) returns it, computed here
+    when the caller does not pass it.  Roots are isolated by Brent's
+    method inside the guaranteed brackets (0, rho_star) and
+    (rho_star, rho_bar).
     """
     if q1 <= 0.0 or q0 <= q1:
         raise NoShock(f"need q0 > q1 > 0, got ({q0:g}, {q1:g})")
     r = q0 ** 2 - q1 ** 2
-    rho_star, q_cap = q_max(eos, q1)
+    rho_star, q_cap = cap or q_max(eos, q1)
     if not (0.0 < r < q_cap):
         raise NoShock(
             f"r = q0^2 - q1^2 = {r:g} outside (0, {q_cap:g}); "
@@ -206,16 +226,15 @@ def shock_from_strength(eos, q1, strength):
     """
     if not (0.0 < strength < 1.0):
         raise NoShock(f"strength must lie in (0, 1), got {strength:g}")
-    _, q_cap = q_max(eos, q1)
-    q0 = float(np.sqrt(q1 ** 2 + (1.0 - strength) * q_cap))
-    sd = end_states(eos, q0, q1)
+    cap = q_max(eos, q1)
+    q0 = float(np.sqrt(q1 ** 2 + (1.0 - strength) * cap[1]))
+    sd = end_states(eos, q0, q1, cap)
     sd.strength = strength
     return sd
 
 
 def _check_consistency(sd, tol=1e-8):
     # both end states must reproduce the prescribed fluxes
-    from .fluid_core import flux
     q = np.array([sd.q0, sd.q1])
     for st in (sd.state_minus, sd.state_plus):
         err = np.abs(flux(st, sd.eos) - q).max() / max(sd.q0, sd.q1)

@@ -17,7 +17,9 @@ vectors cost more than the arithmetic it carries out.
 
 Every other method steps a scipy `OdeSolver` directly (`solver.step()`,
 its dense output only when an event fires), and the run has the samples,
-status and event time that `solve_ivp` returns, bit for bit.
+status and event time that `solve_ivp` returns, bit for bit.  Only such
+a run imports `scipy.integrate`; events are located by the package's
+own `brentq`, so an RK45 run imports no scipy module.
 """
 
 import functools
@@ -25,14 +27,12 @@ import math
 from collections import namedtuple
 
 import numpy as np
-from scipy.integrate import BDF, DOP853, LSODA, RK23, Radau
-from scipy.optimize import brentq
 
-# the scipy solvers stepped directly, by method name
-SCIPY_SOLVERS = {"RK23": RK23, "DOP853": DOP853, "Radau": Radau, "BDF": BDF,
-                 "LSODA": LSODA}
-# every method integrate runs; RK45 is the float stepper below
-METHODS = ("RK45", *SCIPY_SOLVERS)
+from .brent import brentq
+
+# every method integrate runs: RK45 is the float stepper below, every
+# other one the scipy.integrate solver class of that name
+METHODS = ("RK45", "RK23", "DOP853", "Radau", "BDF", "LSODA")
 
 # Butcher tableau (C, A, B), error weights E and the quartic dense
 # output P of the Dormand-Prince pair, as in scipy.integrate.RK45
@@ -243,8 +243,10 @@ def integrate(fun, t_bound, y0, events, rtol, atol, method="RK45"):
         steps = _dormand_prince(fun, t_bound, y, rtol, atol)
         interpolant = _dense_output
     else:
-        solver = SCIPY_SOLVERS[method](lambda t, y: fun(t, y.tolist()), t,
-                                       y0, t_bound, rtol=rtol, atol=atol)
+        import scipy.integrate
+        solver = getattr(scipy.integrate, method)(
+            lambda t, y: fun(t, y.tolist()), t, y0, t_bound,
+            rtol=rtol, atol=atol)
         steps, interpolant = _scipy_steps(solver), solver.dense_output
     ts, ys = [t], [y]
     event = None

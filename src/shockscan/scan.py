@@ -229,7 +229,7 @@ def run_scan(eos_spec, model_tag, co, q1_values, strengths,
     fatal; an invalid EOS, model or solver setting raises before any
     point runs.
     """
-    _default_settings(**overrides)
+    method = _default_settings(**overrides)["method"]
     grid = [(float(q1), float(s)) for q1 in q1_values for s in strengths]
     if not grid:
         raise ValueError("empty scan grid")
@@ -242,6 +242,11 @@ def run_scan(eos_spec, model_tag, co, q1_values, strengths,
     if n == 1 or len(grid) <= 1:
         records = [_scan_point(eos, model, overrides, *p) for p in grid]
     else:
+        if method != "RK45" or model.tag == "ft-viscous":
+            # the points step a scipy solver or run quad: import
+            # scipy.integrate once here, so that the forked workers
+            # inherit it instead of each importing it again
+            import scipy.integrate  # noqa: F401
         with ProcessPoolExecutor(max_workers=n, initializer=_init_worker,
                                  initargs=(eos, model, overrides)) as ex:
             records = list(ex.map(_worker_point, grid, chunksize=1))

@@ -8,8 +8,9 @@ import pytest
 
 from shockscan import (
     FluidState, MonomialEos, NoShock, PolynomialEos, char_speeds,
-    end_states, g_eval, q_max, radiation_eos, rho_bar, shock_from_strength,
-    u1_of_rho,
+    end_states, g_eval, make_eos, parse_eos_expression, q_max,
+    radiation_eos, rankine_hugoniot, rho_bar, shock_from_strength,
+    stress_hessian, u1_of_rho,
 )
 
 RAD = radiation_eos()
@@ -115,6 +116,24 @@ def test_strength_roundtrip():
         assert sd2.strength == pytest.approx(s, rel=1e-8)
 
 
+def test_q_max_once_per_shock(monkeypatch):
+    # shock_from_strength hands its (rho_star, Q) to the end-state solve;
+    # the result is the one end_states finds on its own
+    eos = parse_eos_expression("p(theta) = 1/3*theta^4 + 7/10*theta^3")
+    calls = []
+    original = rankine_hugoniot.q_max
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(rankine_hugoniot, "q_max", counted)
+    sd = shock_from_strength(eos, 3.0, 0.5)
+    assert len(calls) == 1
+    ref = end_states(eos, sd.q0, sd.q1)
+    assert len(calls) == 2
+    assert sd.as_dict() == {**ref.as_dict(), "strength": 0.5}
+
+
 def test_no_shock_conditions():
     with pytest.raises(NoShock):
         end_states(RAD, 3.0, 3.0)          # q0 == q1
@@ -156,6 +175,73 @@ def test_char_speeds_rejects_indefinite_pencil():
     st = FluidState(1e10, 1e10 * (1 - 1e-9))
     with pytest.raises(NoShock, match="not positive definite"):
         char_speeds(st, RAD)
+
+
+def lapack_speeds(state, eos):
+    """The pencil's eigenvalues by scipy's eigh (LAPACK sygvd), a
+    test-only oracle; None where H0 is not positive definite."""
+    from scipy.linalg import eigh
+    k000, k001, k011, k111 = stress_hessian(state, eos)
+    try:
+        lam = eigh([[k001, k011], [k011, k111]],
+                   [[k000, k001], [k001, k011]], eigvals_only=True)
+    except np.linalg.LinAlgError:
+        return None
+    return float(lam[0]), float(lam[1])
+
+
+def closed_form_speeds(state, eos):
+    try:
+        return char_speeds(state, eos)
+    except NoShock:
+        return None
+
+
+PENCIL_EOS = ("radiation", "power-law:5/2", "power-law:5")
+
+
+@pytest.mark.parametrize("spec", PENCIL_EOS)
+def test_char_speeds_match_lapack_on_admissible_states(spec):
+    eos = make_eos(spec)
+    rng = np.random.default_rng(29)
+    worst = 0.0
+    for _ in range(2000):
+        theta = 10.0 ** rng.uniform(-3.0, 3.0)
+        st = FluidState.from_rho_u1(eos, eos.rho(theta),
+                                    rng.uniform(-10.0, 10.0))
+        got, want = char_speeds(st, eos), lapack_speeds(st, eos)
+        worst = max(worst, abs(got[0] - want[0]), abs(got[1] - want[1]))
+    assert worst < 1e-9
+
+
+@pytest.mark.parametrize("spec", PENCIL_EOS)
+def test_char_speeds_refuse_where_lapack_does(spec):
+    # toward the light cone H0 stops being positive definite in floating
+    # point; NoShock must come exactly where sygvd's Cholesky step fails
+    eos = make_eos(spec)
+    rng = np.random.default_rng(31)
+    refused = 0
+    for _ in range(1000):
+        psi0 = 10.0 ** rng.uniform(-6.0, 8.0)
+        gap = 10.0 ** rng.uniform(-15.0, -3.0)
+        st = FluidState(psi0, rng.choice([-1.0, 1.0]) * psi0 * (1.0 - gap))
+        want = lapack_speeds(st, eos)
+        assert (closed_form_speeds(st, eos) is None) == (want is None)
+        refused += want is None
+    assert 100 < refused < 900
+
+
+def test_lax_unchanged_on_the_reference_grids():
+    # the test_06 (q1 = 1) and test_02 (q1 = 0.5, 3, 10) strength grids
+    grids = [(1.0, np.linspace(0.02, 0.98, 50))]
+    grids += [(q1, np.linspace(0.05, 0.95, 10)) for q1 in (0.5, 3.0, 10.0)]
+    for q1, ss in grids:
+        for s in ss:
+            sd = shock_from_strength(RAD, q1, float(s))
+            sm = lapack_speeds(sd.state_minus, RAD)
+            sp = lapack_speeds(sd.state_plus, RAD)
+            lax = sm[0] > 0.0 > sp[0] and sm[1] > 0.0 and sp[1] > 0.0
+            assert lax and sd.lax == lax, (q1, s)
 
 
 def test_lax_pattern_across_strengths():

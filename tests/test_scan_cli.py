@@ -3,6 +3,8 @@
 import json
 import os
 import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -179,6 +181,53 @@ def test_scan_reads_its_eos_once_per_scan(tmp_path):
     with pytest.raises(ValueError, match="does not take mu"):
         run_scan("radiation", "ft-heat", {"eta": 1.0, "mu": 2.0}, [-1.0],
                  [0.5])
+
+
+SCIPY_PROBE = """
+import json, sys
+import shockscan.cli
+from shockscan import radiation_eos, run_scan, scan, shock_from_strength
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+
+out = {"import": scipy_modules()}
+shock_from_strength(radiation_eos(), 1.0, 0.5)
+shockscan.cli.main(["rh", "--eos", "radiation", "--q1", "1",
+                    "--strength", "0.5"])
+for tag, co in (("bdn", {"eta": 1.0, "mu": 4 / 3, "nu": 4.0}),
+                ("eckart", {"eta": 1.0, "chi": 1.0}),
+                ("ft-heat", {"eta": 1.0, "chi": 0.5})):
+    run_scan("radiation", tag, co, [1.0], [0.3, 0.6])
+out["rk45"] = scipy_modules()
+
+seen = []
+class Pool(scan.ProcessPoolExecutor):
+    def __init__(self, *args, **kw):
+        seen.append("scipy.integrate" in sys.modules)
+        super().__init__(*args, **kw)
+scan.ProcessPoolExecutor = Pool
+res = run_scan("radiation", "ft-heat", {"eta": 1.0, "chi": 0.5}, [1.0],
+               [0.3, 0.6], workers=2, method="LSODA")
+out["pool"] = seen
+out["lsoda"] = res.counts()
+print(json.dumps(out))
+"""
+
+
+def test_default_path_imports_no_scipy():
+    # a fresh interpreter: the CLI, the jump conditions and RK45 scans of
+    # every shot family load no scipy module; a pooled scipy-stepped
+    # scan has scipy.integrate in the parent before its workers fork
+    src = os.path.dirname(os.path.dirname(scan.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", SCIPY_PROBE], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=120)
+    out = json.loads(run.stdout.splitlines()[-1])
+    assert out["import"] == [] and out["rk45"] == []
+    assert out["pool"] == [True]
+    assert out["lsoda"] == {"connected_monotone": 2}
 
 
 def test_resolve_workers(monkeypatch):
