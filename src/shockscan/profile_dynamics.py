@@ -24,6 +24,7 @@ import math
 import numpy as np
 
 from . import rk45
+from .brent import brentq
 from .fluid_core import DomainError, FluidState, stress_hessian, flux
 from .rankine_hugoniot import u1_of_rho
 from .dissipation import DissipationModel, ft_coefficients
@@ -168,8 +169,9 @@ class ProfileResult:
     """Outcome of one profile computation.
 
     Connected profiles carry sample arrays (x, psi0, psi1, rho, u1, L)
-    centered so that rho crosses the midpoint density at x = 0; failed
-    ones carry the failure diagnostics instead.
+    centered so that rho crosses the midpoint density at x = 0 (where
+    it does), and width, None when rho does not reach both the 5% and
+    the 95% level; failed ones carry the failure diagnostics instead.
     """
 
     def __init__(self, classification, shock, model, reason="",
@@ -208,7 +210,7 @@ class ProfileResult:
                     self.rho[i], self.u1[i], self.lyap[i]))
 
     def summary_dict(self):
-        d = {
+        return {
             "classification": self.classification,
             "reason": self.reason,
             "model": self.model.describe(),
@@ -220,7 +222,6 @@ class ProfileResult:
             "arclength": self.arclength,
             "settings": self.settings,
         }
-        return d
 
 
 def _default_settings(**overrides):
@@ -312,20 +313,16 @@ def scalar_profile_ft(shock, co, **overrides):
             label, st0, np.array([lam], dtype=complex),
             np.array([[1.0]])))
 
-    # width of the layer: x-extent of the middle 90 percent of the jump,
-    # by scipy's quad, imported here so that other paths never load scipy
-    from scipy.integrate import quad
-    q_lo, q_hi = rm + 0.05 * amp, rm + 0.95 * amp
-    width = quad(lambda r: 1.0 / rho_prime(r), q_lo, q_hi, limit=200)[0]
-
-    err = {
-        "left": float(abs(rho[0] - rm)) / amp,
-        "right": float(abs(rho[-1] - rp)) / amp,
-    }
+    lo, hi = (level_crossing(xs, rho, f, shock, rho[:, None],
+                             lambda y: y[0], lambda y: (rho_prime(y[0]),))
+              for f in (0.05, 0.95))
+    err = {"left": float(abs(rho[0] - rm)) / amp,
+           "right": float(abs(rho[-1] - rp)) / amp}
     return ProfileResult(
         "connected_monotone", shock, model,
         x=xs, w=w, rho=rho, u1=u1, lyap=lyap, rest_points=reports,
-        endpoint_errors=err, width=float(width),
+        endpoint_errors=err,
+        width=None if None in (lo, hi) else hi - lo,
         n_steps=len(xs), arclength=float(np.abs(np.diff(rho)).sum()),
         settings=st)
 
@@ -431,7 +428,6 @@ def shoot_heteroclinic(shock, model, **overrides):
     # the event that ended the orbit, by name; None when none did
     ended = (None if sol.event is None
              else ("conn", "cone", "rho", "arc")[sol.event])
-    w_traj = sol.y[:2].T
     arclen = float(sol.y[2, -1]) if sol.y.shape[1] else 0.0
 
     def failed(cls, why):
@@ -442,8 +438,8 @@ def shoot_heteroclinic(shock, model, **overrides):
     if sol.status < 0:
         # step size underflow: the integrator ground to a halt without
         # reaching any event.  Find out what it ran into.
-        return failed(*_diagnose_stall(w_traj[-1], direction, model, eos, q,
-                                       rbar, rho_floor, amp))
+        return failed(*_diagnose_stall(sol.y[:2, -1], direction, model,
+                                       eos, q, rbar, rho_floor, amp))
 
     if ended in ("cone", "rho"):
         return failed("escaped_domain", "orbit left the physical domain")
@@ -452,17 +448,41 @@ def shoot_heteroclinic(shock, model, **overrides):
                       "arclength budget exhausted" if ended == "arc"
                       else f"integrator stopped (status {sol.status})")
 
-    th = (w_traj[:, 0] ** 2 - w_traj[:, 1] ** 2) ** -0.5
-    rho_traj = np.array([eos.rho(t) for t in th])
-    spiral_target = bool(np.any(
-        np.abs(tgt_rp.eigenvalues.imag)
-        > TOL_OSC * np.abs(tgt_rp.eigenvalues)))
-    if spiral_target or oscillation_detect(rho_traj):
-        cls = "connected_oscillatory"
-    else:
-        cls = "connected_monotone"
-    return _assemble(shock, model, sol, direction, th, rho_traj, reports,
-                     st, amp, cls)
+    # order the samples by physical x, and classify
+    x = direction * sol.t
+    w = sol.y[:2].T
+    if direction < 0.0:
+        x, w = x[::-1], w[::-1]
+
+    def density(y):
+        return eos.rho((y[0] * y[0] - y[1] * y[1]) ** -0.5)
+
+    rho = np.array([density(y) for y in w.tolist()])
+    lam = tgt_rp.eigenvalues
+    spiral = bool(np.any(np.abs(lam.imag) > TOL_OSC * np.abs(lam)))
+    cls = ("connected_oscillatory" if spiral or oscillation_detect(rho)
+           else "connected_monotone")
+    u1 = (w[:, 0] ** 2 - w[:, 1] ** 2) ** -0.5 * w[:, 1]
+    lyap = np.array([lyapunov_eval(FluidState(-a, b), eos, shock.q0,
+                                   shock.q1) for a, b in w.tolist()])
+
+    # dw/dx is planar_rhs along x, whichever way the shot ran; x = 0 at
+    # the midpoint density crossing, by translation invariance
+    lo, mid, hi = (level_crossing(x, rho, f, shock, w, density,
+                                  lambda y: planar_rhs(y, shock, model))
+                   for f in (0.05, 0.5, 0.95))
+    if mid is not None:
+        x = x - mid
+    err = {
+        "left": float(np.linalg.norm(w[0] - shock.state_minus.cov)) / amp,
+        "right": float(np.linalg.norm(w[-1] - shock.state_plus.cov)) / amp,
+    }
+    return ProfileResult(cls, shock, model, x=x, w=w,
+                         rho=rho, u1=u1, lyap=lyap, rest_points=reports,
+                         endpoint_errors=err,
+                         width=None if None in (lo, hi) else hi - lo,
+                         n_steps=sol.t.size,
+                         arclength=float(sol.y[2, -1]), settings=st)
 
 
 def _diagnose_stall(w, direction, model, eos, q, rbar, rho_floor, amp):
@@ -502,47 +522,27 @@ def _diagnose_stall(w, direction, model, eos, q, rbar, rho_floor, amp):
     return "no_connection", "integrator stalled (step size underflow)"
 
 
-def _assemble(shock, model, sol, direction, th, rho, reports, st, amp, cls):
-    """Order samples by physical x, center, and evaluate diagnostics;
-    th and rho are the temperature and density of the samples of sol."""
-    eos = shock.eos
-    x = direction * sol.t
-    w = sol.y[:2].T
-    if direction < 0.0:
-        x, w, th, rho = x[::-1], w[::-1], th[::-1], rho[::-1]
-    u1 = th * w[:, 1]
-    states = [FluidState(-wi[0], wi[1]) for wi in w]
-    lyap = np.array([lyapunov_eval(s, eos, shock.q0, shock.q1)
-                     for s in states])
+def level_crossing(x, rho, frac, shock, y, density, field):
+    """x at which the density first crosses the fraction frac of the
+    jump, rho_minus + frac (rho_plus - rho_minus), or None when the
+    samples (positions x, densities rho, states y, one row each) never
+    do.  The root is found by brentq on the cubic Hermite interpolant of
+    the two samples that straddle the level and of field (dy/dx) at
+    them; it is as accurate as the integration, not as the step, and it
+    passes through both samples, whose densities bracket the root."""
+    level = shock.rho_minus + frac * shock.amplitude
+    i = np.flatnonzero(np.diff(np.sign(rho - level)))
+    if i.size == 0:
+        return None
+    (xa, xb), (ya, yb) = x[i[0]:i[0] + 2].tolist(), y[i[0]:i[0] + 2].tolist()
+    h, da, db = xb - xa, field(ya), field(yb)
 
-    # translation invariance: put the midpoint density crossing at x = 0
-    rho_mid = 0.5 * (shock.rho_minus + shock.rho_plus)
-    x = x - _first_crossing(x, rho, rho_mid)
+    def excess(xq):
+        t = (xq - xa) / h
+        s = 1.0 - t
+        ca, cb = s * s * (1.0 + 2.0 * t), t * t * (3.0 - 2.0 * t)
+        ka, kb = h * t * s * s, -h * t * t * s
+        return density([ca * a + ka * d + cb * b + kb * e
+                        for a, d, b, e in zip(ya, da, yb, db)]) - level
 
-    width = _width_of(x, rho, shock)
-    err = {
-        "left": float(np.linalg.norm(w[0] - shock.state_minus.cov)) / amp,
-        "right": float(np.linalg.norm(w[-1] - shock.state_plus.cov)) / amp,
-    }
-    return ProfileResult(cls, shock, model, x=x, w=w,
-                         rho=rho, u1=u1, lyap=lyap, rest_points=reports,
-                         endpoint_errors=err, width=width,
-                         n_steps=sol.t.size,
-                         arclength=float(sol.y[2, -1]), settings=st)
-
-
-def _first_crossing(x, rho, level):
-    s = np.sign(rho - level)
-    idx = np.nonzero(np.diff(s))[0]
-    if idx.size == 0:
-        return x[int(np.argmin(np.abs(rho - level)))]
-    i = int(idx[0])
-    r0, r1 = rho[i], rho[i + 1]
-    return x[i] + (level - r0) * (x[i + 1] - x[i]) / (r1 - r0)
-
-
-def _width_of(x, rho, shock):
-    amp = shock.rho_plus - shock.rho_minus
-    lo = shock.rho_minus + 0.05 * amp
-    hi = shock.rho_minus + 0.95 * amp
-    return float(_first_crossing(x, rho, hi) - _first_crossing(x, rho, lo))
+    return brentq(excess, xa, xb)

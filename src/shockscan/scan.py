@@ -242,10 +242,9 @@ def run_scan(eos_spec, model_tag, co, q1_values, strengths,
     if n == 1 or len(grid) <= 1:
         records = [_scan_point(eos, model, overrides, *p) for p in grid]
     else:
-        if method != "RK45" or model.tag == "ft-viscous":
-            # the points step a scipy solver or run quad: import
-            # scipy.integrate once here, so that the forked workers
-            # inherit it instead of each importing it again
+        if method != "RK45":
+            # import the scipy solvers once, here, so that the forked
+            # workers inherit them instead of each importing them again
             import scipy.integrate  # noqa: F401
         with ProcessPoolExecutor(max_workers=n, initializer=_init_worker,
                                  initargs=(eos, model, overrides)) as ex:

@@ -13,7 +13,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "perfbench"))
 import tracing  # noqa: E402
 
 from shockscan import (make_model, profile_dynamics,  # noqa: E402
-                       radiation_eos, scan, shock_from_strength)
+                       radiation_eos, rankine_hugoniot, scan,
+                       shock_from_strength)
 
 
 def _current():
@@ -76,3 +77,17 @@ def test_traced_scan_builds_eos_once():
     totals = tracer.totals()
     assert len(res.records) == totals["point"][0] == 4
     assert totals["fluid_core.make_eos"][0] == 1
+
+
+def test_jump_check_evaluates_patched_flux():
+    # _check_consistency must look flux up on fluid_core on every call,
+    # or the traced flux spans go missing: one per end state per shock
+    eos = radiation_eos()
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        for q1, s in ((0.5, 0.3), (1.0, 0.5), (3.0, 0.9)):
+            rankine_hugoniot.shock_from_strength(eos, q1, s)
+    totals = tracer.totals()
+    shocks = totals["rankine_hugoniot.shock_from_strength"][0]
+    assert shocks == 3
+    assert totals.get("fluid_core.flux", (0,))[0] == 2 * shocks

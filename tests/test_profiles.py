@@ -1,19 +1,22 @@
 """Profile ODE: scalar quadrature, heteroclinic shooting, classification."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.integrate import RK45, solve_ivp
+from scipy.integrate import RK45, quad, solve_ivp
+from scipy.optimize import brentq
 from scipy.integrate._ivp.common import norm
 from scipy.integrate._ivp.rk import rk_step
 
 from shockscan import (
     DomainError, FluidState, FtCoefficients, MonomialEos, SingularMatrix,
-    RestPointReport, flux, lyapunov_eval, make_model, oscillation_detect,
-    parse_eos_expression, planar_rhs, profile_dynamics, radiation_eos,
-    rest_point_classify, rk45, scalar_profile_ft, shock_from_strength,
-    shoot_heteroclinic, u1_of_rho,
+    RestPointReport, compute_profile, flux, ft_coefficients, lyapunov_eval,
+    make_model, oscillation_detect, parse_eos_expression, planar_rhs,
+    profile_dynamics, radiation_eos, rest_point_classify, rk45,
+    scalar_profile_ft, shock_from_strength, shoot_heteroclinic,
+    stress_hessian, u1_of_rho,
 )
 
 from test_dissipation import bdn_matrix_symbolic
@@ -281,6 +284,156 @@ def test_rest_point_kinds():
     assert kind(np.array([-1.0, 2.0])) == "saddle"
     assert kind(np.array([1.0, 2.0])) == "source"
     assert kind(np.array([-1.0, -2.0])) == "sink"
+
+
+# ------------------------------------------------------- width
+
+BDN_SHARP = dict(eta=1.0, mu=4.0 / 3.0, nu=4.0)
+
+
+def test_level_crossing_is_exact_on_cubics():
+    # the Hermite interpolant of a cubic is the cubic, so a crossing
+    # between samples 0.5 apart comes out at the cubic's root, where
+    # the chord would miss it by 0.04
+    x = np.linspace(0.0, 2.0, 5)
+    y = x ** 3 + x
+    slope = dict(zip(y.tolist(), (3.0 * x ** 2 + 1.0).tolist()))
+    unit = SimpleNamespace(rho_minus=0.0, amplitude=1.0)
+
+    def crossing(level):
+        return profile_dynamics.level_crossing(
+            x, y, level, unit, y[:, None], lambda s: s[0],
+            lambda s: (slope[s[0]],))
+
+    assert crossing(3.0) == pytest.approx(
+        brentq(lambda t: t ** 3 + t - 3.0, 1.0, 1.5), abs=1e-13)
+    assert crossing(y[3]) == x[3]            # a sample on the level
+    assert crossing(20.0) is None            # never reached
+
+
+def test_shot_width_none_without_crossing():
+    # at tol_conn 0.06 the shot ends at rho 1.32, short of the 95% level
+    # 1.636: no width, though the midpoint still centres x.  At 0.3 it
+    # ends short of the midpoint too, and x stays as integrated.
+    shock = shock_from_strength(RAD, 1.0, 0.5)
+    model = make_model("bdn", RAD, **BDN_SHARP)
+    res = shoot_heteroclinic(shock, model, tol_conn=0.06)
+    assert res.connected and res.width is None
+    assert res.rho[-1] < shock.rho_minus + 0.95 * shock.amplitude
+    assert res.x[0] < 0.0 < res.x[-1]
+    res = shoot_heteroclinic(shock, model, tol_conn=0.3)
+    assert res.connected and res.width is None
+    assert res.rho.max() < shock.rho_minus + 0.5 * shock.amplitude
+    assert res.x[0] == 0.0
+
+
+def test_scalar_width_none_without_crossing():
+    # the quadrature stops at 6% of the jump, short of the 5% level
+    shock = shock_from_strength(RAD, 1.0, 0.5)
+    res = scalar_profile_ft(shock, FtCoefficients(1.0), tol_conn=0.06)
+    assert res.connected and res.width is None
+    assert res.rho[0] > shock.rho_minus + 0.05 * shock.amplitude
+
+
+def _ft_rho_prime(shock, co, rho):
+    q0, q1 = shock.q0, shock.q1
+    u1 = u1_of_rho(RAD, rho, q0, q1)
+    ph = RAD.p_hat(rho)
+    sig, _ = ft_coefficients(FluidState.from_rho_u1(RAD, rho, u1).theta,
+                             RAD, co)
+    R = q1 - ph - (rho + ph) * u1 * u1
+    return R * q0 ** 2 / (sig * (rho + q1) * u1 ** 3)
+
+
+@pytest.mark.parametrize("q1, s", [(3.0, 0.5), (1.0, 0.01), (1.0, 0.9)])
+def test_scalar_width_matches_quadrature(q1, s):
+    # width = integral of dx/drho over the middle 90% of the jump
+    shock = shock_from_strength(RAD, q1, s)
+    co = FtCoefficients(1.0)
+    res = scalar_profile_ft(shock, co)
+    lo, amp = shock.rho_minus, shock.amplitude
+    want = quad(lambda r: 1.0 / _ft_rho_prime(shock, co, r),
+                lo + 0.05 * amp, lo + 0.95 * amp, limit=200,
+                epsabs=0.0, epsrel=1e-12)[0]
+    assert res.width == pytest.approx(want, rel=1e-7)
+
+
+def _dense_reference_width(res, shock, model):
+    """5-95% width of the shot's orbit re-integrated along x from its
+    source-side sample by DOP853 at rtol 1e-13, with the crossings found
+    by scipy's brentq on the dense output."""
+    backward = res.rest_points[1].is_saddle
+    xs, xe = (res.x[-1], res.x[0]) if backward else (res.x[0], res.x[-1])
+    sol = solve_ivp(lambda x, y: planar_rhs(y, shock, model), (xs, xe),
+                    res.w[-1 if backward else 0], method="DOP853",
+                    rtol=1e-13, atol=1e-15, dense_output=True)
+    steps = np.sort(sol.t)
+
+    def rho(x):
+        w = sol.sol(x)
+        return RAD.rho((w[0] ** 2 - w[1] ** 2) ** -0.5)
+
+    def crossing(frac):
+        level = shock.rho_minus + frac * shock.amplitude
+        r = np.array([rho(x) for x in steps]) - level
+        i = int(np.flatnonzero(np.diff(np.sign(r)))[0])
+        return brentq(lambda x: rho(x) - level, steps[i], steps[i + 1],
+                      xtol=1e-14)
+
+    return crossing(0.95) - crossing(0.05)
+
+
+@pytest.mark.parametrize("tag, co, q1, s, kw", [
+    ("bdn", BDN_SHARP, 1.0, 0.843, {}),
+    ("bdn", BDN_SHARP, 1.0, 0.95, {}),
+    ("ft-heat", dict(eta=1.0, chi=0.5), 3.0, 0.5, {}),
+    ("ft-heat", dict(eta=1.0, chi=0.5), 3.0, 0.5,
+     dict(method="LSODA", rtol=1e-9, atol=1e-11)),
+], ids=["bdn-0.843", "bdn-0.95", "ft-heat", "ft-heat-lsoda"])
+def test_shot_width_matches_dense_reference(tag, co, q1, s, kw):
+    # the chords between samples were 1.05e-3 too wide at bdn s = 0.843
+    shock = shock_from_strength(RAD, q1, s)
+    model = make_model(tag, RAD, **co)
+    res = shoot_heteroclinic(shock, model, **kw)
+    want = _dense_reference_width(res, shock, model)
+    assert res.width == pytest.approx(want, rel=1e-6)
+    if s == 0.95:
+        assert want == pytest.approx(24.09029, abs=5e-6)
+
+
+def _burgers_width(shock, model):
+    """The weak-shock limit of the 5-95% width: projected onto the null
+    vector r of H1 at the midpoint of the end states, the profile system
+    is Burgers' equation, whose tanh profile has width
+    4 atanh(0.9) / (|c| eps), with c = D_r(r.H1 r) / (2 r.M r) and
+    eps = |r.(w+ - w-)|."""
+    wm, wp = shock.state_minus.cov, shock.state_plus.cov
+    mid = 0.5 * (wm + wp)
+
+    def h1(w):
+        _, k001, k011, k111 = stress_hessian(FluidState(-w[0], w[1]), RAD)
+        return np.array([[k001, k011], [k011, k111]])
+
+    lam, vec = np.linalg.eigh(h1(mid))
+    r = vec[:, int(np.argmin(np.abs(lam)))]
+    h = 1e-4 * np.linalg.norm(mid)
+    d_r = (r @ h1(mid + h * r) @ r - r @ h1(mid - h * r) @ r) / (2.0 * h)
+    c = 0.5 * d_r / (r @ model.matrix(FluidState(-mid[0], mid[1])) @ r)
+    return 4.0 * math.atanh(0.9) / (abs(c) * abs(r @ (wp - wm)))
+
+
+@pytest.mark.parametrize("tag, co", [("ft-viscous", dict(eta=1.0)),
+                                     ("bdn", BDN_SHARP)],
+                         ids=["ft-viscous", "bdn"])
+@pytest.mark.parametrize("s", [0.003, 0.01, 0.03])
+def test_weak_shock_width_tends_to_burgers(tag, co, s):
+    # measured: (1 - width/pred)/s is 2.37-2.38 for ft-viscous and
+    # 2.60-2.63 for bdn at these strengths
+    shock = shock_from_strength(RAD, 1.0, s)
+    model = make_model(tag, RAD, **co)
+    res = compute_profile(shock, model)
+    assert res.classification == "connected_monotone"
+    assert abs(res.width / _burgers_width(shock, model) - 1.0) <= 3.0 * s
 
 
 def test_result_summary_json(shock_rad):

@@ -104,6 +104,16 @@ def test_scan_records_refused_points():
     assert rec.eig_minus == rec.eig_plus == ""
 
 
+def test_scan_leaves_width_blank_without_crossing():
+    # at tol_conn 0.06 the profile stops at 6% of the jump, short of the
+    # 5% density level: connected, with a blank width in scan.csv
+    (rec,) = run_scan("radiation", "ft-viscous", FT, [1.0], [0.5],
+                      tol_conn=0.06).records
+    assert rec.classification == "connected_monotone"
+    row = dict(zip(ScanRecord.CSV_FIELDS, rec.csv_row()))
+    assert row["width"] == "" and int(row["n_steps"]) > 0
+
+
 def sigma_ft(eos, chi, t):
     """sigma of the ft tensor at eta = 1, zeta = 0, written out."""
     c2 = eos.cs2(t)
@@ -197,7 +207,8 @@ shockscan.cli.main(["rh", "--eos", "radiation", "--q1", "1",
                     "--strength", "0.5"])
 for tag, co in (("bdn", {"eta": 1.0, "mu": 4 / 3, "nu": 4.0}),
                 ("eckart", {"eta": 1.0, "chi": 1.0}),
-                ("ft-heat", {"eta": 1.0, "chi": 0.5})):
+                ("ft-heat", {"eta": 1.0, "chi": 0.5}),
+                ("ft-viscous", {"eta": 1.0})):
     run_scan("radiation", tag, co, [1.0], [0.3, 0.6])
 out["rk45"] = scipy_modules()
 
@@ -217,8 +228,9 @@ print(json.dumps(out))
 
 def test_default_path_imports_no_scipy():
     # a fresh interpreter: the CLI, the jump conditions and RK45 scans of
-    # every shot family load no scipy module; a pooled scipy-stepped
-    # scan has scipy.integrate in the parent before its workers fork
+    # every model, the ft-viscous quadrature included, load no scipy
+    # module; a pooled scipy-stepped scan has scipy.integrate in the
+    # parent before its workers fork
     src = os.path.dirname(os.path.dirname(scan.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     run = subprocess.run([sys.executable, "-c", SCIPY_PROBE], env=env,
