@@ -4,7 +4,13 @@ Barotropic fluids in one space dimension: solve the jump conditions
 for steady Lax shocks, integrate the traveling-wave system for three
 families of dissipation tensors, classify the resulting profiles, and
 map the causality regimes of the regulated (BDN) family.
+
+Importing the package loads no numpy: the end-state and model layers run
+on Python floats.  The profile and scan names are imported on first use
+(PEP 562), and they bring numpy with them.
 """
+
+import importlib
 
 from .fluid_core import (
     BarotropicEos,
@@ -43,19 +49,27 @@ from .dissipation import (
     make_model,
     nu_bound,
 )
-from .profile_dynamics import (
-    ProfileResult,
-    RestPointReport,
-    SingularMatrix,
-    lyapunov_eval,
-    oscillation_detect,
-    planar_rhs,
-    rest_point_classify,
-    scalar_profile_ft,
-    shoot_heteroclinic,
-)
-from .scan import (ScanRecord, ScanResult, compute_profile, resolve_workers,
-                   run_scan)
+
+# name -> the submodule that defines it, imported on first access
+_LAZY = {
+    **dict.fromkeys(
+        ("ProfileResult", "RestPointReport", "SingularMatrix",
+         "lyapunov_eval", "oscillation_detect", "planar_rhs",
+         "rest_point_classify", "scalar_profile_ft", "shoot_heteroclinic"),
+        "profile_dynamics"),
+    **dict.fromkeys(
+        ("ScanRecord", "ScanResult", "compute_profile", "resolve_workers",
+         "run_scan"),
+        "scan"),
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
 
 __version__ = "0.1.0"
 

@@ -18,6 +18,10 @@ classification completed); 1 configuration error (bad flags, malformed
 config, model/EOS mismatch, an ft tensor with sigma <= 0 at the shock,
 empty grid); 2 no shock for the requested fluxes; 3 profile failure
 classification (no_connection, escaped_domain, singular_matrix).
+
+rh, causality and everything before a solve run without numpy: the
+profile and scan solvers, which need it, are imported by the commands
+that run them.
 """
 
 import argparse
@@ -27,14 +31,11 @@ import os
 import sys
 from fractions import Fraction
 
-import numpy as np
-
-from .fluid_core import EosError, make_eos
+from .fluid_core import EosError, linspace, make_eos
 from .rankine_hugoniot import NoShock, end_states, shock_from_strength
 from .dissipation import (CausalityError, BdnCoefficients, make_model,
                           bdn_causality_class)
-from .profile_dynamics import SETTINGS, _default_settings
-from .scan import compute_profile, run_scan
+from .rk45 import SETTINGS, _default_settings
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -56,8 +57,7 @@ def _grid(text):
     """Strength grid: 'lo:hi:n' (inclusive linspace) or a comma list."""
     if ":" in text:
         lo, hi, n = text.split(":")
-        return [float(v) for v in
-                np.linspace(float(Fraction(lo)), float(Fraction(hi)), int(n))]
+        return linspace(float(Fraction(lo)), float(Fraction(hi)), int(n))
     return [float(Fraction(v)) for v in text.split(",")]
 
 
@@ -236,6 +236,7 @@ def cmd_rh(args):
 
 
 def cmd_profile(args):
+    from .scan import compute_profile
     settings = _given(args, SETTINGS)
     _default_settings(**settings)   # reject a bad method before solving
     eos, sd = _make_shock(args)
@@ -263,14 +264,14 @@ def cmd_profile(args):
 
 
 def cmd_scan(args):
+    from .scan import run_scan
     if args.eos is None:
         raise ValueError("an EOS is required (--eos or [eos] kind)")
     if args.model is None:
         raise ValueError("a model is required (--model or [model] tag)")
     if args.q1 is None:
         raise ValueError("a momentum flux is required (--q1)")
-    strengths = _grid(args.strengths) if args.strengths else \
-        [float(v) for v in np.linspace(0.05, 0.95, 19)]
+    strengths = _grid(args.strengths or "0.05:0.95:19")
     result = run_scan(args.eos, args.model, _given(args, COEFFICIENTS),
                       [args.q1], strengths, workers=args.workers,
                       **_given(args, SETTINGS))

@@ -14,8 +14,6 @@ and the BDN regulated tensor for pure radiation.
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .fluid_core import EosError
 
 
@@ -200,6 +198,7 @@ class DissipationModel:
         return type(self), (self.tag, self.co, self.eos)
 
     def matrix(self, state):
+        import numpy as np
         return np.array(self.entries(*state.theta_u())).reshape(2, 2)
 
     def describe(self):

@@ -6,16 +6,37 @@ plane with metric g = diag(-1, +1).  Everything else (temperature,
 velocity, energy density, sound speed) is derived from psi and from a
 barotropic equation of state given as pressure over temperature,
 p = ptilde(theta).
+
+The scalar layer runs on Python floats and imports no numpy; the few
+helpers that return arrays (FluidState.psi and .cov, ideal_stress,
+check_strict_causality) import it where they build them.
 """
 
+import math
 from fractions import Fraction
 
-import numpy as np
-
-# metric restricted to the t-x block; same matrix raises and lowers
-G2 = np.diag([-1.0, 1.0])
-
 _THETA_TOL = 1e-13
+
+
+def linspace(start, stop, n):
+    """n evenly spaced floats from start to stop inclusive, as a list:
+    np.linspace(start, stop, n) bit for bit.  Sample i is
+    i * step + start with step = (stop - start) / (n - 1), or
+    (i / (n - 1)) * (stop - start) + start when step underflows to 0,
+    and the last sample is stop itself."""
+    if n < 0:
+        raise ValueError(f"number of samples, {n}, must be non-negative")
+    div = n - 1
+    delta = stop - start
+    if div <= 0:
+        return [0.0 * delta + start for _ in range(n)]
+    step = delta / div
+    if step == 0:
+        ys = [i / div * delta + start for i in range(n)]
+    else:
+        ys = [i * step + start for i in range(n)]
+    ys[-1] = float(stop)
+    return ys
 
 
 class EosError(ValueError):
@@ -60,7 +81,11 @@ class BarotropicEos:
         raise NotImplementedError
 
     def _validate(self, samples=64):
-        ts = np.geomspace(self.theta_min, self.theta_max, samples)
+        # geometric samples of the validity interval, endpoints exact
+        ts = [10.0 ** v for v in linspace(math.log10(self.theta_min),
+                                          math.log10(self.theta_max),
+                                          samples)]
+        ts[0], ts[-1] = self.theta_min, self.theta_max
         for t in ts:
             if not (self.p(t) > 0.0):
                 raise EosError(f"{self.name}: p(theta) <= 0 at theta={t:g}")
@@ -314,11 +339,13 @@ class FluidState:
 
     @property
     def psi(self):
+        import numpy as np
         return np.array([self.psi0, self.psi1])
 
     @property
     def cov(self):
         # psi_a = g_ab psi^b
+        import numpy as np
         return np.array([-self.psi0, self.psi1])
 
     @property
@@ -341,7 +368,7 @@ class FluidState:
     @classmethod
     def from_rho_u1(cls, eos, rho, u1):
         theta = eos.theta_of_rho(rho)
-        u0 = np.hypot(1.0, u1)
+        u0 = math.hypot(1.0, u1)
         return cls(u0 / theta, u1 / theta)
 
     def __repr__(self):
@@ -349,19 +376,23 @@ class FluidState:
 
 
 def ideal_stress(state, eos):
-    """T^ab = theta^3 p'(theta) psi^a psi^b + p(theta) g^ab."""
+    """T^ab = theta^3 p'(theta) psi^a psi^b + p(theta) g^ab, with
+    g = diag(-1, 1) the metric of the t-x plane."""
+    import numpy as np
     t = state.theta
     psi = state.psi
-    return t ** 3 * eos.dp(t) * np.outer(psi, psi) + eos.p(t) * G2
+    return (t ** 3 * eos.dp(t) * np.outer(psi, psi)
+            + eos.p(t) * np.diag([-1.0, 1.0]))
 
 
 def flux(state, eos):
-    """The alpha-column of the momentum flux, T^{a1}: column 1 of
-    ideal_stress, evaluated in the same order of operations."""
+    """The alpha-column of the momentum flux, T^{a1}, as a pair of
+    floats: column 1 of ideal_stress, evaluated in the same order of
+    operations."""
     t = state.theta
     c = t ** 3 * eos.dp(t)
     psi1 = state.psi1
-    return np.array([c * (state.psi0 * psi1), c * (psi1 * psi1) + eos.p(t)])
+    return c * (state.psi0 * psi1), c * (psi1 * psi1) + eos.p(t)
 
 
 def stress_hessian(state, eos):
@@ -418,6 +449,7 @@ def check_strict_causality(state, eos, directions=DEFAULT_DIRECTIONS,
     Returns (overall_pass, per_direction) where per_direction is a list
     of (direction, eigenvalues, pass) entries.
     """
+    import numpy as np
     k000, k001, k011, k111 = stress_hessian(state, eos)
     report = []
     ok = True

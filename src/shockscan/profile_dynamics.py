@@ -25,6 +25,7 @@ import numpy as np
 
 from . import rk45
 from .brent import brentq
+from .rk45 import _default_settings
 from .fluid_core import DomainError, FluidState, stress_hessian, flux
 from .rankine_hugoniot import u1_of_rho
 from .dissipation import DissipationModel, ft_coefficients
@@ -54,9 +55,6 @@ X_MAX = 1e9
 # spiral when an eigenvalue has |Im| > TOL_OSC |lambda|
 TOL_DET = 1e-10
 TOL_OSC = 1e-6
-
-# the solver settings a caller may set, with their defaults
-SETTINGS = {"rtol": 1e-10, "atol": 1e-12, "tol_conn": 1e-6, "method": "RK45"}
 
 
 def _det(m):
@@ -222,19 +220,6 @@ class ProfileResult:
             "arclength": self.arclength,
             "settings": self.settings,
         }
-
-
-def _default_settings(**overrides):
-    s = dict(SETTINGS)
-    for k, v in overrides.items():
-        if k not in s:
-            raise TypeError(f"unknown solver setting {k!r}")
-        if v is not None:
-            s[k] = v
-    if s["method"] not in rk45.METHODS:
-        raise ValueError(f"unknown integrator {s['method']!r} "
-                         f"(one of {', '.join(rk45.METHODS)})")
-    return s
 
 
 def scalar_profile_ft(shock, co, **overrides):

@@ -14,18 +14,16 @@ end states exist exactly for 0 < r < Q.
 
 The roots come from the package's port of scipy's brentq and the
 characteristic speeds from the 2x2 pencil written out, so this module
-imports numpy only.  A shock computes (rho_star, Q) once:
-shock_from_strength hands it to end_states.
+runs on Python floats and imports neither numpy nor scipy.  A shock
+computes (rho_star, Q) once: shock_from_strength hands it to end_states.
 """
 
 import math
 import warnings
 
-import numpy as np
-
 from .brent import brentq
 from . import fluid_core
-from .fluid_core import FluidState, stress_hessian, gnl_indicator
+from .fluid_core import FluidState, stress_hessian, gnl_indicator, linspace
 
 _BRENTQ_KW = dict(xtol=1e-300, rtol=8.9e-16, maxiter=200)
 
@@ -65,7 +63,7 @@ def q_max(eos, q1):
     bracketing below may be incomplete.
     """
     rb = rho_bar(eos, q1)
-    gnl = [gnl_indicator(eos, rho) for rho in np.linspace(rb * 1e-6, rb, 64)]
+    gnl = [gnl_indicator(eos, rho) for rho in linspace(rb * 1e-6, rb, 64)]
     if min(gnl) <= 0.0:
         warnings.warn(
             "genuine nonlinearity fails inside (0, rho_bar); "
@@ -228,7 +226,7 @@ def shock_from_strength(eos, q1, strength):
     if not (0.0 < strength < 1.0):
         raise NoShock(f"strength must lie in (0, 1), got {strength:g}")
     cap = q_max(eos, q1)
-    q0 = float(np.sqrt(q1 ** 2 + (1.0 - strength) * cap[1]))
+    q0 = math.sqrt(q1 ** 2 + (1.0 - strength) * cap[1])
     sd = end_states(eos, q0, q1, cap)
     sd.strength = strength
     return sd
@@ -236,9 +234,9 @@ def shock_from_strength(eos, q1, strength):
 
 def _check_consistency(sd, tol=1e-8):
     # both end states must reproduce the prescribed fluxes
-    q = np.array([sd.q0, sd.q1])
     for st in (sd.state_minus, sd.state_plus):
-        err = abs(fluid_core.flux(st, sd.eos) - q).max() / max(sd.q0, sd.q1)
+        f0, f1 = fluid_core.flux(st, sd.eos)
+        err = max(abs(f0 - sd.q0), abs(f1 - sd.q1)) / max(sd.q0, sd.q1)
         if err > tol:
             raise NoShock(f"end state fails the jump conditions, "
                           f"relative error {err:.3e}")

@@ -19,20 +19,40 @@ Every other method steps a scipy `OdeSolver` directly (`solver.step()`,
 its dense output only when an event fires), and the run has the samples,
 status and event time that `solve_ivp` returns, bit for bit.  Only such
 a run imports `scipy.integrate`; events are located by the package's
-own `brentq`, so an RK45 run imports no scipy module.
+own `brentq`, so an RK45 run imports no scipy module.  numpy is imported
+when a run builds its sample arrays, so the solver settings below load
+without it.
 """
 
 import functools
 import math
+import sys
 from collections import namedtuple
-
-import numpy as np
 
 from .brent import brentq
 
 # every method integrate runs: RK45 is the float stepper below, every
 # other one the scipy.integrate solver class of that name
 METHODS = ("RK45", "RK23", "DOP853", "Radau", "BDF", "LSODA")
+
+# the profile solver settings a caller may set, with their defaults
+SETTINGS = {"rtol": 1e-10, "atol": 1e-12, "tol_conn": 1e-6, "method": "RK45"}
+
+
+def _default_settings(**overrides):
+    """SETTINGS with the overrides that are not None; an unknown setting
+    raises TypeError and an unknown method ValueError."""
+    s = dict(SETTINGS)
+    for k, v in overrides.items():
+        if k not in s:
+            raise TypeError(f"unknown solver setting {k!r}")
+        if v is not None:
+            s[k] = v
+    if s["method"] not in METHODS:
+        raise ValueError(f"unknown integrator {s['method']!r} "
+                         f"(one of {', '.join(METHODS)})")
+    return s
+
 
 # Butcher tableau (C, A, B), error weights E and the quartic dense
 # output P of the Dormand-Prince pair, as in scipy.integrate.RK45
@@ -69,7 +89,7 @@ MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
 # the error estimate is of order 4: steps scale with error^(-1/5)
 ERROR_EXPONENT = -1 / 5
-EPS = float(np.finfo(float).eps)
+EPS = sys.float_info.epsilon
 
 Solution = namedtuple("Solution", "t y status event")
 Solution.__doc__ = """What integrate returns, whatever the method:
@@ -275,4 +295,5 @@ def integrate(fun, t_bound, y0, events, rtol, atol, method="RK45"):
         ys.append(y)
         if status >= 0:
             break
+    import numpy as np
     return Solution(np.array(ts), np.array(ys).T, status, event)

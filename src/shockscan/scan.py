@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from .fluid_core import make_eos
 from .rankine_hugoniot import NoShock, shock_from_strength
 from .dissipation import make_model, CausalityError
-from .profile_dynamics import (_default_settings, scalar_profile_ft,
-                               shoot_heteroclinic)
+from .profile_dynamics import scalar_profile_ft, shoot_heteroclinic
+from .rk45 import _default_settings
 
 ENV_WORKERS = "SHOCKSCAN_WORKERS"
 

@@ -13,7 +13,9 @@ from shockscan import (
     nu_bound, parse_eos_expression, planar_rhs, radiation_eos,
     shock_from_strength,
 )
-from shockscan.fluid_core import G2
+
+# metric restricted to the t-x block; same matrix raises and lowers
+G2 = np.diag([-1.0, 1.0])
 
 RAD = radiation_eos()
 SOFT = MonomialEos(1, Fraction(5, 2))

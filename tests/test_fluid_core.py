@@ -1,5 +1,6 @@
 """EOS layer, state kinematics, stress tensors."""
 
+import math
 import re
 from fractions import Fraction
 
@@ -11,7 +12,10 @@ from shockscan import (
     check_strict_causality, flux, gnl_indicator, ideal_stress, make_eos,
     parse_eos_expression, radiation_eos, stress_hessian,
 )
-from shockscan.fluid_core import G2, BarotropicEos
+from shockscan.fluid_core import BarotropicEos
+
+# metric restricted to the t-x block; same matrix raises and lowers
+G2 = np.diag([-1.0, 1.0])
 
 
 def random_state(rng, eos):
@@ -226,6 +230,26 @@ def test_from_rho_u1_roundtrip():
     assert st.u[1] == pytest.approx(0.7, rel=1e-12)
     st2 = FluidState.from_cov(st.cov)
     assert st2.psi0 == st.psi0 and st2.psi1 == st.psi1
+
+
+# u1 in [0, 3] where glibc's hypot, and so np.hypot, misrounds
+# sqrt(1 + u1^2) by one ulp (about 0.6% of uniform samples there)
+MISROUNDED_U1 = (0.3736641175058505, 0.8827433440527177, 0.9637374280353758,
+                 1.149442877946353, 1.4852167521480326, 1.5011144214956595,
+                 1.6038195051619355, 2.8574021648048085)
+
+
+@pytest.mark.parametrize("u1", MISROUNDED_U1)
+def test_from_rho_u1_rounds_u0_correctly(u1):
+    # radiation has theta = 1 exactly at rho = 1, so psi0 is u0 itself;
+    # it must lie within half an ulp of sqrt(1 + u1^2) on either side,
+    # the bounds compared exactly as squares of Fractions
+    eos = radiation_eos()
+    assert eos.theta_of_rho(1.0) == 1.0
+    u0 = FluidState.from_rho_u1(eos, 1.0, u1).psi0
+    lo = (Fraction(u0) + Fraction(math.nextafter(u0, 0.0))) / 2
+    hi = (Fraction(u0) + Fraction(math.nextafter(u0, math.inf))) / 2
+    assert lo * lo <= 1 + Fraction(u1) ** 2 <= hi * hi
 
 
 # ------------------------------------------------------- stress tensors

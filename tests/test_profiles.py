@@ -528,7 +528,7 @@ def test_lyapunov_gradient_is_flux_excess(shock_rad):
         t = rng.uniform(0.6, 1.8)
         u0 = 1.0 / np.sqrt(1.0 - v * v)
         st = FluidState(u0 / t, v * u0 / t)
-        g = flux(st, RAD) - [q0, q1]
+        g = np.subtract(flux(st, RAD), [q0, q1])
         w = st.cov
         fd = np.zeros(2)
         for j in range(2):

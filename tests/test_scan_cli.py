@@ -9,8 +9,10 @@ import sys
 import numpy as np
 import pytest
 
-from shockscan import (make_eos, make_model, resolve_workers, run_scan, scan,
+from shockscan import (make_eos, make_model, parse_eos_expression,
+                       resolve_workers, rho_bar, run_scan, scan,
                        shock_from_strength)
+from shockscan.fluid_core import linspace
 from shockscan.scan import ScanRecord
 from shockscan.cli import main
 
@@ -226,20 +228,73 @@ print(json.dumps(out))
 """
 
 
+NUMPY_PROBE = """
+import json, os, sys
+import shockscan
+import shockscan.cli
+from shockscan import make_model, parse_eos_expression, radiation_eos
+
+out = {}
+def numpy_loaded(step):
+    out[step] = "numpy" in sys.modules
+
+numpy_loaded("import")
+eos = radiation_eos()
+make_model("bdn", eos, eta=1.0, mu=4 / 3, nu=4.0)
+make_model("eckart", eos, eta=1.0, chi=1.0)
+make_model("ft-heat", eos, eta=1.0, chi=0.5)
+make_model("ft-viscous", eos, eta=1.0)
+parse_eos_expression("p(theta) = 1/3*theta^4 + 7/10*theta^3")
+numpy_loaded("models")
+tmp = sys.argv[1]
+path = os.path.join(tmp, "poly.eos")
+with open(path, "w") as fh:
+    fh.write("p(theta) = 1/3*theta^4 + 7/10*theta^3\\n")
+codes = [shockscan.cli.main(["rh", "--eos", "radiation", "--q1", "1",
+                             "--strength", "0.5"]),
+         shockscan.cli.main(["rh", "--eos", "file:" + path, "--q1", "1",
+                             "--strength", "0.5", "--json", "--out", tmp])]
+numpy_loaded("rh")
+codes.append(shockscan.cli.main(["causality", "--mu", "4/3", "--nu", "4"]))
+numpy_loaded("causality")
+shockscan.run_scan("radiation", "ft-viscous", {"eta": 1.0}, [1.0], [0.5])
+numpy_loaded("run_scan")
+out["codes"] = codes
+print(json.dumps(out))
+"""
+
+
+def _probe(code, *argv):
+    """Run code in a fresh interpreter on this checkout; its last stdout
+    line, parsed as JSON."""
+    src = os.path.dirname(os.path.dirname(scan.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=120)
+    return json.loads(run.stdout.splitlines()[-1])
+
+
 def test_default_path_imports_no_scipy():
     # a fresh interpreter: the CLI, the jump conditions and RK45 scans of
     # every model, the ft-viscous quadrature included, load no scipy
     # module; a pooled scipy-stepped scan has scipy.integrate in the
     # parent before its workers fork
-    src = os.path.dirname(os.path.dirname(scan.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    run = subprocess.run([sys.executable, "-c", SCIPY_PROBE], env=env,
-                         capture_output=True, text=True, check=True,
-                         timeout=120)
-    out = json.loads(run.stdout.splitlines()[-1])
+    out = _probe(SCIPY_PROBE)
     assert out["import"] == [] and out["rk45"] == []
     assert out["pool"] == [True]
     assert out["lsoda"] == {"connected_monotone": 2}
+
+
+def test_end_states_and_causality_import_no_numpy(tmp_path):
+    # a fresh interpreter: the package, the CLI, every model, an
+    # expression EOS, rh (also with --json on a file: EOS) and causality
+    # load no numpy; a scan does
+    out = _probe(NUMPY_PROBE, str(tmp_path))
+    assert out == {"import": False, "models": False, "rh": False,
+                   "causality": False, "run_scan": True,
+                   "codes": [0, 0, 0]}
+    assert json.loads((tmp_path / "rh.json").read_text())["lax"] is True
 
 
 def test_resolve_workers(monkeypatch):
@@ -475,6 +530,36 @@ def test_cli_scan_grid_syntax(tmp_path):
     rows = (tmp_path / "scan.csv").read_text().splitlines()
     strengths = [float(r.split(",")[1]) for r in rows[1:]]
     assert strengths == pytest.approx([0.2, 0.5, 0.8])
+
+
+POLY = parse_eos_expression("p(theta) = 1/3*theta^4 + 7/10*theta^3")
+
+
+@pytest.mark.parametrize("args", [
+    (0.02, 0.98, 50), (0.05, 0.95, 19),
+    (0.2, 0.8, 0), (0.2, 0.8, 1), (0.2, 0.8, 2),
+    # 6 steps of (0.9 - 0.3) / 6 overshoot 0.9, and a subnormal step
+    # rounds to 0
+    (0.3, 0.9, 7), (0.0, 1e-323, 5),
+    # q_max's sweep of genuine nonlinearity
+    *((rho_bar(eos, q1) * 1e-6, rho_bar(eos, q1), 64)
+      for eos in (make_eos("radiation"), POLY)
+      for q1 in (0.1, 1.0, 3.0, 10.0)),
+], ids=str)
+def test_linspace_is_numpy_bit_for_bit(args):
+    got = linspace(*args)
+    assert all(type(v) is float for v in got)
+    assert [v.hex() for v in got] == [v.hex() for v in np.linspace(*args)]
+
+
+def test_cli_scan_grid_counts(tmp_path, capsys):
+    # a negative count is a usage error, and so is an empty grid
+    base = ["scan", "--eos", "radiation", "--model", "ft-viscous",
+            "--q1", "3", "--out", str(tmp_path), "--strengths"]
+    assert main(base + ["0.2:0.8:-1"]) == 1
+    assert "non-negative" in capsys.readouterr().err
+    assert main(base + ["0.2:0.8:0"]) == 1
+    assert "empty scan grid" in capsys.readouterr().err
 
 
 def test_cli_scan_missing_model(capsys):
