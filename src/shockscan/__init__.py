@@ -19,10 +19,8 @@ from .fluid_core import (
     FluidState,
     MonomialEos,
     PolynomialEos,
-    check_strict_causality,
     flux,
     gnl_indicator,
-    ideal_stress,
     make_eos,
     parse_eos_expression,
     radiation_eos,
@@ -75,8 +73,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BarotropicEos", "DomainError", "EosError", "FluidState",
-    "MonomialEos", "PolynomialEos", "check_strict_causality",
-    "flux", "gnl_indicator", "ideal_stress",
+    "MonomialEos", "PolynomialEos", "flux", "gnl_indicator",
     "make_eos", "parse_eos_expression", "radiation_eos", "stress_hessian",
     "NoShock", "ShockData", "char_speeds", "end_states", "g_eval",
     "q_max", "rho_bar", "shock_from_strength", "u1_of_rho",

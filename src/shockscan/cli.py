@@ -21,11 +21,10 @@ classification (no_connection, escaped_domain, singular_matrix).
 
 rh, causality and everything before a solve run without numpy: the
 profile and scan solvers, which need it, are imported by the commands
-that run them.
+that run them, and configparser only when --config is given.
 """
 
 import argparse
-import configparser
 import json
 import os
 import sys
@@ -149,6 +148,7 @@ def apply_config(args):
     section or key outside _CONFIG_MAP raises ValueError."""
     if not getattr(args, "config", None):
         return
+    import configparser
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     read = cp.read(args.config)
     if not read:

@@ -176,6 +176,9 @@ class DissipationModel:
                 raise ValueError(f"{tag} matrix depends on the EOS")
             if tag == "ft-viscous" and coefficients.chi != 0.0:
                 raise ValueError("ft-viscous has chi = 0; use ft-heat")
+            if tag == "ft-heat" and not coefficients.chi > 0.0:
+                # M = sigma theta n (x) n has rank one without heat flux
+                raise ValueError("ft-heat needs chi > 0; use ft-viscous")
         elif tag == "bdn":
             if not isinstance(coefficients, BdnCoefficients):
                 raise TypeError("bdn needs BdnCoefficients")

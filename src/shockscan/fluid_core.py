@@ -7,9 +7,9 @@ velocity, energy density, sound speed) is derived from psi and from a
 barotropic equation of state given as pressure over temperature,
 p = ptilde(theta).
 
-The scalar layer runs on Python floats and imports no numpy; the few
-helpers that return arrays (FluidState.psi and .cov, ideal_stress,
-check_strict_causality) import it where they build them.
+The scalar layer runs on Python floats and imports no numpy;
+FluidState.cov, the one helper that returns an array, imports it where
+it builds one.
 """
 
 import math
@@ -49,10 +49,10 @@ class DomainError(ValueError):
 
 
 class BarotropicEos:
-    """Pressure as a function of temperature with two derivatives.
+    """Pressure as a function of temperature with three derivatives.
 
-    Subclasses provide p(theta), dp(theta), d2p(theta) and a validity
-    interval.  Derived quantities:
+    Subclasses provide p(theta), dp(theta), d2p(theta), d3p(theta) and a
+    validity interval.  Derived quantities:
 
         rho(theta)  = theta*p'(theta) - p(theta)
         drho(theta) = theta*p''(theta)          (must stay positive)
@@ -78,6 +78,9 @@ class BarotropicEos:
         raise NotImplementedError
 
     def d2p(self, theta):
+        raise NotImplementedError
+
+    def d3p(self, theta):
         raise NotImplementedError
 
     def _validate(self, samples=64):
@@ -145,17 +148,6 @@ class BarotropicEos:
         """dp/drho = cs^2, chain rule through theta."""
         return self.cs2(self.theta_of_rho(rho))
 
-    def p_hat_pp(self, rho):
-        t = self.theta_of_rho(rho)
-        # d(cs2)/dtheta divided by rho'(theta)
-        p1, p2 = self.dp(t), self.d2p(t)
-        p3 = self.d3p(t)
-        dcs2_dt = (p2 * (t * p2) - p1 * (p2 + t * p3)) / (t * p2) ** 2
-        return dcs2_dt / self.drho(t)
-
-    def d3p(self, theta):
-        raise NotImplementedError
-
 
 class PolynomialEos(BarotropicEos):
     """ptilde(theta) = sum of c_i * theta^k_i with rational coefficients.
@@ -216,7 +208,8 @@ class MonomialEos(PolynomialEos):
     Linear pressure-energy relation p_hat(rho) = rho/(k-1); the
     inversions are closed-form, which keeps Rankine-Hugoniot tests
     exact.  k = 2 is constructible (rho' > 0 holds) even though its
-    sound speed is luminal; the causality check is where that surfaces.
+    sound speed is luminal; q_max's genuine-nonlinearity warning and
+    ft_coefficients are where that surfaces.
     """
 
     def __init__(self, coef, k, name=None):
@@ -248,9 +241,6 @@ class MonomialEos(PolynomialEos):
 
     def p_hat_p(self, rho):
         return 1.0 / self._k1
-
-    def p_hat_pp(self, rho):
-        return 0.0
 
 
 def radiation_eos():
@@ -338,11 +328,6 @@ class FluidState:
         self.psi1 = float(psi1)
 
     @property
-    def psi(self):
-        import numpy as np
-        return np.array([self.psi0, self.psi1])
-
-    @property
     def cov(self):
         # psi_a = g_ab psi^b
         import numpy as np
@@ -352,18 +337,10 @@ class FluidState:
     def theta(self):
         return (self.psi0 ** 2 - self.psi1 ** 2) ** -0.5
 
-    @property
-    def u(self):
-        return self.theta * self.psi
-
     def theta_u(self):
         """(theta, u^0, u^1) as floats."""
         t = self.theta
         return t, t * self.psi0, t * self.psi1
-
-    @classmethod
-    def from_cov(cls, w):
-        return cls(-w[0], w[1])
 
     @classmethod
     def from_rho_u1(cls, eos, rho, u1):
@@ -375,20 +352,10 @@ class FluidState:
         return f"FluidState({self.psi0:.17g}, {self.psi1:.17g})"
 
 
-def ideal_stress(state, eos):
-    """T^ab = theta^3 p'(theta) psi^a psi^b + p(theta) g^ab, with
-    g = diag(-1, 1) the metric of the t-x plane."""
-    import numpy as np
-    t = state.theta
-    psi = state.psi
-    return (t ** 3 * eos.dp(t) * np.outer(psi, psi)
-            + eos.p(t) * np.diag([-1.0, 1.0]))
-
-
 def flux(state, eos):
     """The alpha-column of the momentum flux, T^{a1}, as a pair of
-    floats: column 1 of ideal_stress, evaluated in the same order of
-    operations."""
+    floats: column 1 of T^ab = theta^3 p'(theta) psi^a psi^b
+    + p(theta) g^ab, with g = diag(-1, 1) the metric of the t-x plane."""
     t = state.theta
     c = t ** 3 * eos.dp(t)
     psi1 = state.psi1
@@ -424,48 +391,13 @@ def gnl_indicator(eos, rho):
 
     (rho + p_hat) p_hat'' + 2 (1 - p_hat') p_hat'; positive values mean
     the mode is genuinely nonlinear.  The sign is reported as computed,
-    nothing is rejected here.
+    nothing is rejected here.  Evaluated at the one temperature
+    t = theta(rho): p_hat = p(t), p_hat' = cs^2(t) and
+    p_hat'' = (d cs^2/d theta) / rho'(theta).
     """
-    ph = eos.p_hat(rho)
-    p1 = eos.p_hat_p(rho)
-    p2 = eos.p_hat_pp(rho)
-    return (rho + ph) * p2 + 2.0 * (1.0 - p1) * p1
-
-
-DEFAULT_DIRECTIONS = ((1.0, 0.0), (1.0, 1.0), (1.0, -1.0))
-
-
-def check_strict_causality(state, eos, directions=DEFAULT_DIRECTIONS,
-                           tol=1e-12):
-    """Sampled negative-definiteness check of the contracted Hessian.
-
-    directions: future non-spacelike contravariant vectors (T^0, T^1)
-    with T^0 > 0 and |T^1| <= T^0.  Each is lowered with the metric and
-    contracted against the stress Hessian; the causality condition
-    requires the result to be negative definite for every direction.
-    Default directions are both null rays plus the time axis; the null
-    rays are where definiteness is tightest.
-
-    Returns (overall_pass, per_direction) where per_direction is a list
-    of (direction, eigenvalues, pass) entries.
-    """
-    import numpy as np
-    k000, k001, k011, k111 = stress_hessian(state, eos)
-    report = []
-    ok = True
-    for d in directions:
-        d = np.asarray(d, dtype=float)
-        if not (d[0] > 0.0 and abs(d[1]) <= d[0]):
-            raise ValueError(f"direction {d} is not future non-spacelike")
-        # contract with the lowered direction (-T^0, T^1)
-        a, b = -d[0], d[1]
-        off = a * k001 + b * k011
-        K = [[a * k000 + b * k001, off], [off, a * k011 + b * k111]]
-        lam = np.linalg.eigvalsh(K)
-        # margin relative to the spectral scale; a luminal EOS lands on
-        # the boundary (zero eigenvalue along a null ray) and must fail
-        scale = float(np.abs(lam).max())
-        this = bool(scale > 0.0 and lam.max() < -tol * scale)
-        report.append((tuple(d), lam, this))
-        ok = ok and this
-    return ok, report
+    t = eos.theta_of_rho(rho)
+    p1, p2, p3 = eos.dp(t), eos.d2p(t), eos.d3p(t)
+    dcs2_dt = (p2 * (t * p2) - p1 * (p2 + t * p3)) / (t * p2) ** 2
+    pp = dcs2_dt / eos.drho(t)
+    cs2 = eos.cs2(t)
+    return (rho + eos.p(t)) * pp + 2.0 * (1.0 - cs2) * cs2

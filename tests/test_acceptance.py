@@ -399,9 +399,10 @@ def test_09_gradient_and_assembly_oracles():
         for j in range(2):
             e = np.zeros(2)
             e[j] = h
-            fd[j] = (lyapunov_eval(FluidState.from_cov(w + e), RAD, q0, q1)
-                     - lyapunov_eval(FluidState.from_cov(w - e), RAD, q0, q1)
-                     ) / (2 * h)
+            up = FluidState(-(w + e)[0], (w + e)[1])
+            dn = FluidState(-(w - e)[0], (w - e)[1])
+            fd[j] = (lyapunov_eval(up, RAD, q0, q1)
+                     - lyapunov_eval(dn, RAD, q0, q1)) / (2 * h)
         err = np.abs(g - fd).max() / max(1.0, np.abs(g).max())
         assert err < 1e-6
         worst_a = max(worst_a, err)

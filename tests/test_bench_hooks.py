@@ -12,9 +12,11 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "perfbench"))
 
 import tracing  # noqa: E402
 
-from shockscan import (make_model, profile_dynamics,  # noqa: E402
+from shockscan import (gnl_indicator, make_model,  # noqa: E402
+                       parse_eos_expression, profile_dynamics,
                        radiation_eos, rankine_hugoniot, scan,
                        shock_from_strength)
+from shockscan.fluid_core import linspace  # noqa: E402
 
 
 def _current():
@@ -91,3 +93,14 @@ def test_jump_check_evaluates_patched_flux():
     shocks = totals["rankine_hugoniot.shock_from_strength"][0]
     assert shocks == 3
     assert totals.get("fluid_core.flux", (0,))[0] == 2 * shocks
+
+
+def test_gnl_indicator_inverts_once_per_sample():
+    # q_max's 64-sample sweep evaluates p_hat, p_hat' and p_hat'' at one
+    # temperature: one traced theta_of_rho per sample, not three
+    eos = parse_eos_expression("p(theta) = 1/3*theta^4 + 7/10*theta^3")
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        for rho in linspace(1e-6, 1.0, 64):
+            gnl_indicator(eos, rho)
+    assert tracer.totals()["fluid_core.theta_of_rho"][0] == 64

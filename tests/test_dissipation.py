@@ -9,9 +9,8 @@ import pytest
 from shockscan import (
     BdnCoefficients, CausalityError, DissipationModel, EosError,
     FluidState, FtCoefficients, MonomialEos, PolynomialEos, SingularMatrix,
-    bdn_causality_class, ft_coefficients, ideal_stress, make_eos, make_model,
-    nu_bound, parse_eos_expression, planar_rhs, radiation_eos,
-    shock_from_strength,
+    bdn_causality_class, ft_coefficients, make_eos, make_model, nu_bound,
+    parse_eos_expression, planar_rhs, radiation_eos, shock_from_strength,
 )
 
 # metric restricted to the t-x block; same matrix raises and lowers
@@ -27,6 +26,26 @@ def random_state(rng):
     t = rng.uniform(0.6, 1.8)
     u0 = 1.0 / np.sqrt(1.0 - v * v)
     return FluidState(u0 / t, v * u0 / t)
+
+
+def psi(state):
+    return np.array([state.psi0, state.psi1])
+
+
+def velocity(state):
+    """U^a = theta psi^a."""
+    return state.theta * psi(state)
+
+
+def from_cov(w):
+    """The state with covariant components psi_a = w."""
+    return FluidState(-w[0], w[1])
+
+
+def ideal_stress(state, eos):
+    """T^ab = theta^3 p'(theta) psi^a psi^b + p(theta) g^ab."""
+    t, v = state.theta, psi(state)
+    return t ** 3 * eos.dp(t) * np.outer(v, v) + eos.p(t) * G2
 
 
 def bdn_matrix_full_tensor(state, eta, mu, nu):
@@ -58,11 +77,11 @@ def bdn_matrix_full_tensor(state, eta, mu, nu):
 def velocity_gradient(state):
     """d U_d / d psi_c as a 2x2 array, rows d (lower), columns c (upper)."""
     t = state.theta
-    return t * np.eye(2) + t ** 3 * np.outer(state.cov, state.psi)
+    return t * np.eye(2) + t ** 3 * np.outer(state.cov, psi(state))
 
 
 def _projector(state):
-    U = state.u
+    U = velocity(state)
     return G2 + np.outer(U, U), U
 
 
@@ -86,7 +105,7 @@ def ft_matrix_reference(state, eos, co):
     M = W @ velocity_gradient(state)
     if co.chi:
         # heat flux enters through the temperature gradient alone
-        M = M + co.chi * np.outer(U, t ** 3 * state.psi)
+        M = M + co.chi * np.outer(U, t ** 3 * psi(state))
     return M
 
 
@@ -98,7 +117,7 @@ def eckart_matrix_reference(state, eos, co):
     M = _shear_bulk_block(Pi, co.eta, co.zeta) @ velocity_gradient(state)
     if co.chi:
         vec = Pi[:, 1] * U[1] + Pi[1, 1] * U
-        M = M + co.chi * np.outer(vec, t ** 3 * state.psi)
+        M = M + co.chi * np.outer(vec, t ** 3 * psi(state))
     return M
 
 
@@ -161,7 +180,7 @@ def test_coefficient_validation():
 # ------------------------------------------------------- FT matrices
 
 def test_ft_rest_matrices():
-    M = make_model("ft-heat", RAD, eta=1.0).matrix(REST)
+    M = make_model("ft-viscous", RAD, eta=1.0).matrix(REST)
     assert np.allclose(M, np.diag([0.0, 2.0]), atol=1e-14)
     M = make_model("ft-heat", RAD, eta=1.0, chi=1.0).matrix(REST)
     assert np.allclose(M, np.diag([1.0, 5.0 / 3.0]), atol=1e-14)
@@ -175,7 +194,7 @@ def test_ft_collapses_to_projector_form():
         co = FtCoefficients(rng.uniform(0.2, 3.0), rng.uniform(0.0, 2.0),
                             rng.uniform(0.0, 2.0))
         sigma, _ = ft_coefficients(st.theta, RAD, co)
-        U = st.u
+        U = velocity(st)
         t = st.theta
         Pi = G2 + np.outer(U, U)
         want = sigma * t * Pi + co.chi * t ** 2 * np.outer(U, U)
@@ -221,7 +240,7 @@ def test_ft_viscous_action_is_sigma_du():
     for _ in range(100):
         st = random_state(rng)
         co = FtCoefficients(rng.uniform(0.2, 3.0), rng.uniform(0.0, 2.0))
-        M = DissipationModel("ft-heat", co, RAD).matrix(st)
+        M = DissipationModel("ft-viscous", co, RAD).matrix(st)
         sigma, _ = ft_coefficients(st.theta, RAD, co)
         dw = rng.standard_normal(2)
         lhs = M @ dw
@@ -240,10 +259,10 @@ def test_velocity_gradient_fd():
         for j in range(2):
             e = np.zeros(2)
             e[j] = h
-            up = FluidState.from_cov(w + e)
-            dn = FluidState.from_cov(w - e)
+            up = from_cov(w + e)
+            dn = from_cov(w - e)
             # lowered velocity G U^a
-            J[:, j] = (G2 @ up.u - G2 @ dn.u) / (2 * h)
+            J[:, j] = (G2 @ velocity(up) - G2 @ velocity(dn)) / (2 * h)
         assert np.abs(V - J).max() <= 1e-6 * np.abs(V).max()
 
 
@@ -270,7 +289,7 @@ def test_eckart_differs_from_ft_by_effective_viscosity():
         Pi = G2 + np.outer([u0, u1], [u0, u1])
         bulk = (zc - co.zeta) - (4.0 * co.eta / 3.0 + co.zeta) * u1 ** 2
         want = t * bulk * Pi
-        diff = (DissipationModel("ft-heat", co, RAD).matrix(st)
+        diff = (DissipationModel("ft-viscous", co, RAD).matrix(st)
                 - DissipationModel("eckart", co, RAD).matrix(st))
         assert np.abs(diff - want).max() <= 1e-12 * max(1.0,
                                                         np.abs(want).max())
@@ -468,6 +487,10 @@ def test_model_dispatch_and_describe():
 def test_model_validation():
     with pytest.raises(ValueError):
         make_model("ft-viscous", RAD, eta=1.0, chi=0.5)
+    # without heat flux the ft matrix sigma theta n (x) n has rank one
+    with pytest.raises(ValueError, match="ft-heat needs chi > 0; use "
+                                         "ft-viscous"):
+        make_model("ft-heat", RAD, eta=1.0)
     with pytest.raises(ValueError):
         make_model("bdn", RAD, mu=2.0)        # nu missing
     with pytest.raises(ValueError):

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from shockscan import (
-    DomainError, EosError, FluidState, MonomialEos, PolynomialEos,
-    check_strict_causality, flux, gnl_indicator, ideal_stress, make_eos,
-    parse_eos_expression, radiation_eos, stress_hessian,
+    DomainError, EosError, FluidState, MonomialEos, PolynomialEos, flux,
+    gnl_indicator, make_eos, parse_eos_expression, radiation_eos,
+    stress_hessian,
 )
 from shockscan.fluid_core import BarotropicEos
 
@@ -25,6 +25,26 @@ def random_state(rng, eos):
     return FluidState(u0 / t, v * u0 / t)
 
 
+def psi(state):
+    return np.array([state.psi0, state.psi1])
+
+
+def velocity(state):
+    """U^a = theta psi^a."""
+    return state.theta * psi(state)
+
+
+def from_cov(w):
+    """The state with covariant components psi_a = w."""
+    return FluidState(-w[0], w[1])
+
+
+def ideal_stress(state, eos):
+    """T^ab = theta^3 p'(theta) psi^a psi^b + p(theta) g^ab."""
+    t, v = state.theta, psi(state)
+    return t ** 3 * eos.dp(t) * np.outer(v, v) + eos.p(t) * G2
+
+
 # ---------------------------------------------------------------- EOS
 
 def test_radiation_closed_forms():
@@ -35,7 +55,6 @@ def test_radiation_closed_forms():
         assert eos.cs2(t) == pytest.approx(1.0 / 3.0, rel=1e-14)
     assert eos.p_hat(6.0) == pytest.approx(2.0, rel=1e-15)
     assert eos.p_hat_p(6.0) == pytest.approx(1.0 / 3.0, rel=1e-15)
-    assert eos.p_hat_pp(6.0) == 0.0
 
 
 def test_monomial_linear_pressure_energy():
@@ -89,11 +108,16 @@ def test_polynomial_derivative_chain():
 
 
 def test_p_hat_second_derivative_fd():
+    # p_hat'' enters gnl_indicator in its temperature form; check the
+    # indicator against (rho + p_hat) p_hat'' + 2 (1 - p_hat') p_hat'
+    # with p_hat'' a central difference of p_hat'
     eos = PolynomialEos([(Fraction(1, 3), 4), (Fraction(1, 2), 3)])
     h = 1e-4
     for rho in (0.5, 2.0, 9.0):
-        fd = (eos.p_hat_p(rho + h) - eos.p_hat_p(rho - h)) / (2 * h)
-        assert eos.p_hat_pp(rho) == pytest.approx(fd, rel=1e-6)
+        p2 = (eos.p_hat_p(rho + h) - eos.p_hat_p(rho - h)) / (2 * h)
+        p1 = eos.p_hat_p(rho)
+        fd = (rho + eos.p_hat(rho)) * p2 + 2.0 * (1.0 - p1) * p1
+        assert gnl_indicator(eos, rho) == pytest.approx(fd, rel=1e-6)
 
 
 class FractionPolynomial(BarotropicEos):
@@ -219,7 +243,7 @@ def test_fluid_state_domain():
     st = FluidState(2.0, 1.0)
     assert st.theta == pytest.approx(3.0 ** -0.5, rel=1e-15)
     assert np.allclose(st.cov, [-2.0, 1.0])
-    u = st.u
+    u = velocity(st)
     assert u[0] ** 2 - u[1] ** 2 == pytest.approx(1.0, rel=1e-12)
 
 
@@ -227,8 +251,8 @@ def test_from_rho_u1_roundtrip():
     eos = radiation_eos()
     st = FluidState.from_rho_u1(eos, 5.0, 0.7)
     assert eos.rho(st.theta) == pytest.approx(5.0, rel=1e-12)
-    assert st.u[1] == pytest.approx(0.7, rel=1e-12)
-    st2 = FluidState.from_cov(st.cov)
+    assert velocity(st)[1] == pytest.approx(0.7, rel=1e-12)
+    st2 = from_cov(st.cov)
     assert st2.psi0 == st.psi0 and st2.psi1 == st.psi1
 
 
@@ -267,7 +291,7 @@ def test_ideal_stress_matches_fluid_form():
     for _ in range(20):
         st = random_state(rng, eos)
         rho, p = eos.rho(st.theta), eos.p(st.theta)
-        u = st.u
+        u = velocity(st)
         want = (rho + p) * np.outer(u, u) + p * G2
         assert np.allclose(ideal_stress(st, eos), want, rtol=1e-12)
 
@@ -291,8 +315,8 @@ def test_stress_hessian_is_flux_jacobian():
                 for j in range(2):
                     e = np.zeros(2)
                     e[j] = h
-                    Tp = ideal_stress(FluidState(-(w + e)[0], (w + e)[1]), eos)
-                    Tm = ideal_stress(FluidState(-(w - e)[0], (w - e)[1]), eos)
+                    Tp = ideal_stress(from_cov(w + e), eos)
+                    Tm = ideal_stress(from_cov(w - e), eos)
                     J[:, j] = (Tp[:, beta] - Tm[:, beta]) / (2 * h)
                 scale = max(1.0, np.abs(K).max())
                 assert np.abs(K - J).max() / scale < 1e-7
@@ -369,6 +393,44 @@ def test_gnl_indicator_values():
     assert gnl_indicator(MonomialEos(1, 5), 2.0) == pytest.approx(
         2 * (1 - 0.25) * 0.25, rel=1e-13)
     assert abs(gnl_indicator(MonomialEos(1, 2), 1.0)) < 1e-14
+
+
+DEFAULT_DIRECTIONS = ((1.0, 0.0), (1.0, 1.0), (1.0, -1.0))
+
+
+def check_strict_causality(state, eos, directions=DEFAULT_DIRECTIONS,
+                           tol=1e-12):
+    """Sampled negative-definiteness check of the contracted Hessian.
+
+    directions: future non-spacelike contravariant vectors (T^0, T^1)
+    with T^0 > 0 and |T^1| <= T^0.  Each is lowered with the metric and
+    contracted against the stress Hessian; the causality condition
+    requires the result to be negative definite for every direction.
+    Default directions are both null rays plus the time axis; the null
+    rays are where definiteness is tightest.
+
+    Returns (overall_pass, per_direction) where per_direction is a list
+    of (direction, eigenvalues, pass) entries.
+    """
+    k000, k001, k011, k111 = stress_hessian(state, eos)
+    report = []
+    ok = True
+    for d in directions:
+        d = np.asarray(d, dtype=float)
+        if not (d[0] > 0.0 and abs(d[1]) <= d[0]):
+            raise ValueError(f"direction {d} is not future non-spacelike")
+        # contract with the lowered direction (-T^0, T^1)
+        a, b = -d[0], d[1]
+        off = a * k001 + b * k011
+        K = [[a * k000 + b * k001, off], [off, a * k011 + b * k111]]
+        lam = np.linalg.eigvalsh(K)
+        # margin relative to the spectral scale; a luminal EOS lands on
+        # the boundary (zero eigenvalue along a null ray) and must fail
+        scale = float(np.abs(lam).max())
+        this = bool(scale > 0.0 and lam.max() < -tol * scale)
+        report.append((tuple(d), lam, this))
+        ok = ok and this
+    return ok, report
 
 
 def test_strict_causality_radiation():

@@ -257,6 +257,7 @@ codes = [shockscan.cli.main(["rh", "--eos", "radiation", "--q1", "1",
 numpy_loaded("rh")
 codes.append(shockscan.cli.main(["causality", "--mu", "4/3", "--nu", "4"]))
 numpy_loaded("causality")
+out["configparser"] = "configparser" in sys.modules
 shockscan.run_scan("radiation", "ft-viscous", {"eta": 1.0}, [1.0], [0.5])
 numpy_loaded("run_scan")
 out["codes"] = codes
@@ -292,8 +293,8 @@ def test_end_states_and_causality_import_no_numpy(tmp_path):
     # load no numpy; a scan does
     out = _probe(NUMPY_PROBE, str(tmp_path))
     assert out == {"import": False, "models": False, "rh": False,
-                   "causality": False, "run_scan": True,
-                   "codes": [0, 0, 0]}
+                   "causality": False, "configparser": False,
+                   "run_scan": True, "codes": [0, 0, 0]}
     assert json.loads((tmp_path / "rh.json").read_text())["lax"] is True
 
 
@@ -475,6 +476,19 @@ def test_cli_profile_refuses_nondissipative_ft(tmp_path, capsys):
     assert rc == 1
     assert "sigma = -0.452201 <= 0 at theta" in capsys.readouterr().err
     assert not (tmp_path / "profile.json").exists()
+
+
+def test_ft_heat_without_chi_is_refused(tmp_path, capsys):
+    # chi = 0 leaves M = sigma theta n (x) n singular on every shot: a
+    # usage error, before any end state or point is solved
+    rc = main(["profile", "--eos", "radiation", "--q1", "1",
+               "--strength", "0.5", "--model", "ft-heat", "--eta", "1",
+               "--out", str(tmp_path)])
+    assert rc == 1
+    assert "ft-heat needs chi > 0; use ft-viscous" in capsys.readouterr().err
+    assert not (tmp_path / "profile.json").exists()
+    with pytest.raises(ValueError, match="use ft-viscous"):
+        run_scan("radiation", "ft-heat", {"eta": 1.0}, [1.0], [-0.5])
 
 
 @pytest.mark.parametrize("model, co", [("ft-viscous", FT),
