@@ -56,8 +56,7 @@ _LAZY = {
          "rest_point_classify", "scalar_profile_ft", "shoot_heteroclinic"),
         "profile_dynamics"),
     **dict.fromkeys(
-        ("ScanRecord", "ScanResult", "compute_profile", "resolve_workers",
-         "run_scan"),
+        ("ScanRecord", "ScanResult", "compute_profile", "run_scan"),
         "scan"),
 }
 
@@ -83,7 +82,6 @@ __all__ = [
     "ProfileResult", "RestPointReport", "SingularMatrix",
     "lyapunov_eval", "oscillation_detect", "planar_rhs",
     "rest_point_classify", "scalar_profile_ft", "shoot_heteroclinic",
-    "ScanRecord", "ScanResult", "compute_profile", "resolve_workers",
-    "run_scan",
+    "ScanRecord", "ScanResult", "compute_profile", "run_scan",
     "__version__",
 ]

@@ -113,7 +113,7 @@ def build_parser():
                         help="grid 'lo:hi:n' or comma list (default "
                              "0.05:0.95:19)")
     p_scan.add_argument("--workers", type=int,
-                        help="process count (default: SHOCKSCAN_WORKERS or 1)")
+                        help="process count (default 1)")
 
     p_caus = sub.add_parser("causality",
                             help="classify a BDN coefficient triple")

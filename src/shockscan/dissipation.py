@@ -48,18 +48,17 @@ class BdnCoefficients:
 
 
 def ft_coefficients(t, eos, co):
-    """Effective coefficients (sigma, zeta_check) at temperature t.
+    """Effective viscosity sigma at temperature t,
 
-        sigma      = ((4/3) eta + zeta) / (1 - cs^2) - cs^2 chi theta
-        zeta_check = zeta + cs^2 sigma - cs^2 (1 - cs^2) chi theta
+        sigma = ((4/3) eta + zeta) / (1 - cs^2) - cs^2 chi theta.
 
-    so that (4/3) eta + zeta_check = sigma identically.  Requires a
-    subluminal sound speed; at cs^2 >= 1 the combination degenerates.
-    Requires sigma > 0: the planar matrix sigma theta Pi + chi theta^2
-    U (x) U is positive definite exactly when sigma > 0 and chi > 0
-    (det = sigma chi theta^3), and at sigma <= 0 the tensor is not
-    dissipative.  Both ft paths, the heat shot and the viscous
-    quadrature, evaluate sigma here, so this is their one check.
+    Requires a subluminal sound speed; at cs^2 >= 1 the combination
+    degenerates.  Requires sigma > 0: the planar matrix
+    sigma theta Pi + chi theta^2 U (x) U is positive definite exactly
+    when sigma > 0 and chi > 0 (det = sigma chi theta^3), and at
+    sigma <= 0 the tensor is not dissipative.  Both ft paths, the heat
+    shot and the viscous quadrature, evaluate sigma here, so this is
+    their one check.
     """
     c2 = eos.cs2(t)
     if c2 >= 1.0:
@@ -71,8 +70,7 @@ def ft_coefficients(t, eos, co):
         raise CausalityError(
             f"effective viscosity sigma = {sigma:g} <= 0 at theta = {t:g}; "
             "the ft tensor is not dissipative there")
-    zeta_check = co.zeta + c2 * sigma - c2 * (1.0 - c2) * co.chi * t
-    return sigma, zeta_check
+    return sigma
 
 
 # Closed forms.  In the t-x plane the projector orthogonal to U is
@@ -85,7 +83,7 @@ def ft_coefficients(t, eos, co):
 def ft_entries(t, u0, u1, eos, co):
     """Causal viscosity/heat-conduction tensor:
     M = sigma theta Pi + chi theta^2 U (x) U."""
-    s = ft_coefficients(t, eos, co)[0] * t
+    s = ft_coefficients(t, eos, co) * t
     h = co.chi * t * t
     m01 = (s + h) * u0 * u1
     return s * u1 * u1 + h * u0 * u0, m01, m01, s * u0 * u0 + h * u1 * u1

@@ -144,10 +144,6 @@ class BarotropicEos:
     def p_hat(self, rho):
         return self.p(self.theta_of_rho(rho))
 
-    def p_hat_p(self, rho):
-        """dp/drho = cs^2, chain rule through theta."""
-        return self.cs2(self.theta_of_rho(rho))
-
 
 class PolynomialEos(BarotropicEos):
     """ptilde(theta) = sum of c_i * theta^k_i with rational coefficients.
@@ -238,9 +234,6 @@ class MonomialEos(PolynomialEos):
 
     def p_hat(self, rho):
         return rho / self._k1
-
-    def p_hat_p(self, rho):
-        return 1.0 / self._k1
 
 
 def radiation_eos():
@@ -374,9 +367,12 @@ def stress_hessian(state, eos):
         k011 = theta^2 u0 (p' + a u1^2)
         k111 = theta^2 u1 (3 p' + a u1^2)
 
-    Returns (k000, k001, k011, k111).  H0 = [[k000, k001], [k001, k011]]
-    is the positive definite mass matrix of the characteristic pencil,
-    H1 = [[k001, k011], [k011, k111]] the flux Jacobian dF/dw.
+    Returns (k000, k001, k011, k111).  H1 = [[k001, k011], [k011, k111]]
+    is the flux Jacobian dF/dw, which the rest-point linearization
+    reads.  H0 = [[k000, k001], [k001, k011]] is the mass matrix of the
+    characteristic pencil H1 v = lam H0 v.  char_speeds does not solve
+    that pencil: it takes the speeds from velocity addition, which
+    stays accurate where H0 is ill-conditioned.
     """
     t, u0, u1 = state.theta_u()
     p1, p2 = eos.dp(t), t * eos.d2p(t)

@@ -257,7 +257,7 @@ def scalar_profile_ft(shock, co, **overrides):
     def rho_prime(rho):
         u1 = u1_of_rho(eos, rho, q0, q1)
         state = FluidState.from_rho_u1(eos, rho, u1)
-        sig, _ = ft_coefficients(state.theta, eos, co)
+        sig = ft_coefficients(state.theta, eos, co)
         return R_of(rho) * q0 ** 2 / (sig * (rho + q1) * u1 ** 3)
 
     # a zero of R between the end states is a rest point the

@@ -13,9 +13,10 @@ rho_star, and falls to -q1^2 at rho_bar (where p(rho_bar) = q1), so
 end states exist exactly for 0 < r < Q.
 
 The roots come from the package's port of scipy's brentq and the
-characteristic speeds from the 2x2 pencil written out, so this module
-runs on Python floats and imports neither numpy nor scipy.  A shock
-computes (rho_star, Q) once: shock_from_strength hands it to end_states.
+characteristic speeds from relativistic velocity addition, so this
+module runs on Python floats and imports neither numpy nor scipy.  A
+shock computes (rho_star, Q) once: shock_from_strength hands it to
+end_states.
 """
 
 import math
@@ -23,7 +24,7 @@ import warnings
 
 from .brent import brentq
 from . import fluid_core
-from .fluid_core import FluidState, stress_hessian, gnl_indicator, linspace
+from .fluid_core import FluidState, gnl_indicator, linspace
 
 _BRENTQ_KW = dict(xtol=1e-300, rtol=8.9e-16, maxiter=200)
 
@@ -78,8 +79,9 @@ def q_max(eos, q1):
         # the bracket is guaranteed; a sound speed at or above light
         # kills the initial rise and g has no interior maximum
         def dg(rho):
-            return (-eos.p_hat(rho) - rho * eos.p_hat_p(rho)
-                    + q1 * (1.0 - eos.p_hat_p(rho)))
+            t = eos.theta_of_rho(rho)
+            c2 = eos.cs2(t)
+            return -eos.p(t) - rho * c2 + q1 * (1.0 - c2)
         lo = rb * 1e-12
         if not (dg(lo) > 0.0 > dg(rb)):
             raise NoShock(
@@ -100,32 +102,15 @@ def u1_of_rho(eos, rho, q0, q1):
 def char_speeds(state, eos):
     """Acoustic characteristic speeds at a state, slow first.
 
-    Solves the symmetric pencil H1 v = lam H0 v built from the stress
-    Hessian; H0 must be positive definite for the state to be
-    admissible, and a state where it is not raises NoShock.  The
-    reduction is LAPACK's sygvd written out for 2x2: the Cholesky factor
-    H0 = L L^T (potrf), the standard form C = L^-1 H1 L^-T (sygs2), and
-    the eigenvalues of C as its mean -/+ hypot(half-difference,
-    off-diagonal), which forms no discriminant.
+    Relativistic velocity addition of the sound speed c = sqrt(cs^2)
+    to the fluid velocity u^1/u^0, lam = (u1 -+ c u0) / (u0 -+ c u1).
+    No denominator cancels for c < 1, so the speeds stay accurate up
+    to the light cone, where eigenvalues of the rounded flux-Hessian
+    pencil do not.
     """
-    k000, k001, k011, k111 = stress_hessian(state, eos)
-    # the pivots of H0 as potrf forms them, k000 and k011 - l10^2; the
-    # second is NaN when the first is not > 0
-    l00 = math.sqrt(k000) if k000 > 0.0 else math.nan
-    l10 = k001 * (1.0 / l00)
-    piv = k011 - l10 * l10
-    if not piv > 0.0:
-        raise NoShock(
-            "mass matrix of the characteristic pencil is not positive "
-            f"definite at {state!r}")
-    l11 = math.sqrt(piv)
-    c00 = k001 / (l00 * l00)
-    a10 = k011 * (1.0 / l00) - 0.5 * c00 * l10
-    c11 = (k111 - a10 * l10 - l10 * a10) / (l11 * l11)
-    c10 = (a10 - 0.5 * c00 * l10) / l11
-    mean = 0.5 * (c00 + c11)
-    rad = math.hypot(0.5 * (c00 - c11), c10)
-    return mean - rad, mean + rad
+    t, u0, u1 = state.theta_u()
+    c = math.sqrt(eos.cs2(t))
+    return (u1 - c * u0) / (u0 - c * u1), (u1 + c * u0) / (u0 + c * u1)
 
 
 class ShockData:

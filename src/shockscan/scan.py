@@ -10,7 +10,6 @@ byte-identical.
 
 import csv
 import json
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -20,8 +19,6 @@ from .rankine_hugoniot import NoShock, shock_from_strength
 from .dissipation import make_model, CausalityError
 from .profile_dynamics import scalar_profile_ft, shoot_heteroclinic
 from .rk45 import _default_settings
-
-ENV_WORKERS = "SHOCKSCAN_WORKERS"
 
 NAN = float("nan")
 
@@ -127,20 +124,6 @@ def _worker_point(q1_strength):
     return _scan_point(*_worker_scan, *q1_strength)
 
 
-def resolve_workers(requested=None):
-    """Explicit count wins, then the SHOCKSCAN_WORKERS variable, then 1."""
-    if requested is not None:
-        return max(1, int(requested))
-    env = os.environ.get(ENV_WORKERS)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"{ENV_WORKERS} must be an integer, "
-                             f"got {env!r}") from None
-    return 1
-
-
 class ScanResult:
     def __init__(self, eos_spec, model_tag, co, q1_values, strengths,
                  records, wall_time):
@@ -220,7 +203,8 @@ class ScanResult:
 
 def run_scan(eos_spec, model_tag, co, q1_values, strengths,
              workers=None, **overrides):
-    """Classify every (q1, strength) grid point.
+    """Classify every (q1, strength) grid point on `workers` processes
+    (None means 1).
 
     The EOS and the model are built once, before any point; a pool
     hands them to each worker once, through its initializer.  The grid
@@ -233,7 +217,7 @@ def run_scan(eos_spec, model_tag, co, q1_values, strengths,
     grid = [(float(q1), float(s)) for q1 in q1_values for s in strengths]
     if not grid:
         raise ValueError("empty scan grid")
-    n = resolve_workers(workers)
+    n = max(1, int(workers or 1))
     t0 = time.perf_counter()
     # one EOS and model per scan: a file: EOS is read once, here, and
     # again by the next scan

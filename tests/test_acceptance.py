@@ -449,7 +449,7 @@ def test_09_gradient_and_assembly_oracles():
         st = _random_state(rng, RAD)
         co = FtCoefficients(rng.uniform(0.2, 3.0), rng.uniform(0.0, 2.0))
         m = make_model("ft-viscous", RAD, eta=co.eta, zeta=co.zeta)
-        sigma, _ = ft_coefficients(st.theta, RAD, co)
+        sigma = ft_coefficients(st.theta, RAD, co)
         dw = rng.standard_normal(2)
         lhs = m.matrix(st) @ dw
         rhs = sigma * (G2 @ velocity_gradient(st) @ dw)

@@ -93,13 +93,22 @@ def _shear_bulk_block(Pi, eta, zeta):
             + (zeta - 2.0 * eta / 3.0) * np.outer(Pi[:, 1], G2[1, :]))
 
 
+def _zeta_check(t, eos, co):
+    """Effective bulk viscosity of the causal tensor,
+    zeta + cs^2 sigma - cs^2 (1 - cs^2) chi theta, so that
+    (4/3) eta + zeta_check = sigma identically."""
+    c2 = eos.cs2(t)
+    sigma = ft_coefficients(t, eos, co)
+    return co.zeta + c2 * sigma - c2 * (1.0 - c2) * co.chi * t
+
+
 def ft_matrix_reference(state, eos, co):
     """Causal viscosity/heat-conduction matrix, assembled term by term."""
     Pi, U = _projector(state)
     t = state.theta
-    sigma, zeta_check = ft_coefficients(t, eos, co)
+    sigma = ft_coefficients(t, eos, co)
     g1 = G2[1, :]
-    W = (_shear_bulk_block(Pi, co.eta, zeta_check)
+    W = (_shear_bulk_block(Pi, co.eta, _zeta_check(t, eos, co))
          + sigma * (U[1] * np.outer(U, g1)
                     - U[1] * (Pi * U[1] + np.outer(U, Pi[1, :]))))
     M = W @ velocity_gradient(state)
@@ -148,13 +157,15 @@ def test_ft_coefficient_identity():
         st = random_state(rng)
         co = FtCoefficients(rng.uniform(0.2, 3.0), rng.uniform(0.0, 2.0),
                             rng.uniform(0.0, 2.0))
-        sigma, zc = ft_coefficients(st.theta, RAD, co)
+        sigma = ft_coefficients(st.theta, RAD, co)
+        zc = _zeta_check(st.theta, RAD, co)
         assert 4.0 * co.eta / 3.0 + zc == pytest.approx(sigma, rel=1e-13)
 
 
 def test_ft_coefficients_radiation_frozen():
     # cs^2 = 1/3, eta = 1, zeta = chi = 0: sigma = (4/3)/(2/3) = 2
-    sigma, zc = ft_coefficients(REST.theta, RAD, FtCoefficients(1.0))
+    sigma = ft_coefficients(REST.theta, RAD, FtCoefficients(1.0))
+    zc = _zeta_check(REST.theta, RAD, FtCoefficients(1.0))
     assert sigma == pytest.approx(2.0, rel=1e-14)
     assert zc == pytest.approx(2.0 / 3.0, rel=1e-14)
 
@@ -193,7 +204,7 @@ def test_ft_collapses_to_projector_form():
         st = random_state(rng)
         co = FtCoefficients(rng.uniform(0.2, 3.0), rng.uniform(0.0, 2.0),
                             rng.uniform(0.0, 2.0))
-        sigma, _ = ft_coefficients(st.theta, RAD, co)
+        sigma = ft_coefficients(st.theta, RAD, co)
         U = velocity(st)
         t = st.theta
         Pi = G2 + np.outer(U, U)
@@ -224,7 +235,7 @@ def test_ft_coefficients_refuse_nondissipative_sigma():
     # radiation: sigma = 2 - chi theta / 3 for eta = 1, so chi = 10
     # makes sigma <= 0 from theta = 3/5 on
     co = FtCoefficients(1.0, chi=10.0)
-    assert ft_coefficients(0.5, RAD, co)[0] == pytest.approx(2.0 - 5.0 / 3.0)
+    assert ft_coefficients(0.5, RAD, co) == pytest.approx(2.0 - 5.0 / 3.0)
     with pytest.raises(CausalityError,
                        match=r"sigma = -1\.33333 <= 0 at theta = 1\b"):
         ft_coefficients(1.0, RAD, co)
@@ -241,7 +252,7 @@ def test_ft_viscous_action_is_sigma_du():
         st = random_state(rng)
         co = FtCoefficients(rng.uniform(0.2, 3.0), rng.uniform(0.0, 2.0))
         M = DissipationModel("ft-viscous", co, RAD).matrix(st)
-        sigma, _ = ft_coefficients(st.theta, RAD, co)
+        sigma = ft_coefficients(st.theta, RAD, co)
         dw = rng.standard_normal(2)
         lhs = M @ dw
         rhs = sigma * (G2 @ velocity_gradient(st) @ dw)
@@ -284,7 +295,7 @@ def test_eckart_differs_from_ft_by_effective_viscosity():
     for _ in range(50):
         st = random_state(rng)
         co = FtCoefficients(rng.uniform(0.2, 3.0), rng.uniform(0.0, 2.0))
-        _, zc = ft_coefficients(st.theta, RAD, co)
+        zc = _zeta_check(st.theta, RAD, co)
         t, u0, u1 = st.theta_u()
         Pi = G2 + np.outer([u0, u1], [u0, u1])
         bulk = (zc - co.zeta) - (4.0 * co.eta / 3.0 + co.zeta) * u1 ** 2

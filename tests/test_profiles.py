@@ -339,8 +339,8 @@ def _ft_rho_prime(shock, co, rho):
     q0, q1 = shock.q0, shock.q1
     u1 = u1_of_rho(RAD, rho, q0, q1)
     ph = RAD.p_hat(rho)
-    sig, _ = ft_coefficients(FluidState.from_rho_u1(RAD, rho, u1).theta,
-                             RAD, co)
+    sig = ft_coefficients(FluidState.from_rho_u1(RAD, rho, u1).theta,
+                          RAD, co)
     R = q1 - ph - (rho + ph) * u1 * u1
     return R * q0 ** 2 / (sig * (rho + q1) * u1 ** 3)
 

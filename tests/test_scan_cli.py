@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 
 from shockscan import (make_eos, make_model, parse_eos_expression,
-                       resolve_workers, rho_bar, run_scan, scan,
-                       shock_from_strength)
+                       rho_bar, run_scan, scan, shock_from_strength)
 from shockscan.fluid_core import linspace
 from shockscan.scan import ScanRecord
 from shockscan.cli import main
@@ -298,17 +297,6 @@ def test_end_states_and_causality_import_no_numpy(tmp_path):
     assert json.loads((tmp_path / "rh.json").read_text())["lax"] is True
 
 
-def test_resolve_workers(monkeypatch):
-    monkeypatch.delenv("SHOCKSCAN_WORKERS", raising=False)
-    assert resolve_workers() == 1
-    assert resolve_workers(3) == 3
-    monkeypatch.setenv("SHOCKSCAN_WORKERS", "5")
-    assert resolve_workers() == 5
-    assert resolve_workers(2) == 2       # explicit beats the environment
-    monkeypatch.setenv("SHOCKSCAN_WORKERS", "0")
-    assert resolve_workers() == 1
-
-
 def test_scan_summary_file(tmp_path):
     res = small_scan()
     f = tmp_path / "scan_summary.json"
@@ -353,7 +341,7 @@ def test_cli_rh_no_shock_exit_two(capsys):
     assert "no shock" in capsys.readouterr().err
 
 
-def test_cli_config_errors(capsys, tmp_path, monkeypatch):
+def test_cli_config_errors(capsys, tmp_path):
     # missing flux
     assert main(["rh", "--eos", "radiation", "--strength", "0.5"]) == 1
     # strength and q0 together
@@ -431,14 +419,6 @@ def test_cli_config_errors(capsys, tmp_path, monkeypatch):
     assert main(["profile", "--config", str(ini)]) == 1
     assert "unknown config section [solvr]" in capsys.readouterr().err
     assert not (tmp_path / "profile.json").exists()
-    # a malformed worker count in the environment names the variable
-    monkeypatch.setenv("SHOCKSCAN_WORKERS", "abc")
-    assert main(["scan", "--eos", "radiation", "--q1", "1", "--model", "bdn",
-                 "--mu", "4/3", "--nu", "4", "--strengths", "0.5",
-                 "--out", str(tmp_path)]) == 1
-    assert ("SHOCKSCAN_WORKERS must be an integer, got 'abc'"
-            in capsys.readouterr().err)
-    assert not (tmp_path / "scan.csv").exists()
 
 
 # ------------------------------------------------------- CLI: profile
