@@ -32,8 +32,8 @@ from fractions import Fraction
 
 from .fluid_core import EosError, linspace, make_eos
 from .rankine_hugoniot import NoShock, end_states, shock_from_strength
-from .dissipation import (CausalityError, BdnCoefficients, make_model,
-                          bdn_causality_class)
+from .dissipation import (CausalityError, BdnCoefficients, FtCoefficients,
+                          bdn_causality_class, make_model)
 from .rk45 import SETTINGS, _default_settings
 
 EXIT_OK = 0
@@ -41,7 +41,8 @@ EXIT_CONFIG = 1
 EXIT_NOSHOCK = 2
 EXIT_PROFILE = 3
 
-COEFFICIENTS = ("eta", "zeta", "chi", "mu", "nu")
+COEFFICIENTS = tuple(dict.fromkeys(FtCoefficients._fields
+                                   + BdnCoefficients._fields))
 
 
 def fracfloat(text):

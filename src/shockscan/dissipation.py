@@ -8,43 +8,45 @@ field M(psi) acting on the x-derivative of the covariant state,
 so the matrix is all a profile solver needs.  Three families are
 implemented: the causal viscosity tensor (with optional heat
 conduction), its Eckart counterpart (kept for comparison, acausal),
-and the BDN regulated tensor for pure radiation.
+and the BDN regulated tensor for pure radiation.  Coefficients are
+validated namedtuples; each closed form is bound to them once.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .fluid_core import EosError
+
+TOL_CAUSAL = 1e-12   # relative slack of the BDN causality bound
 
 
 class CausalityError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FtCoefficients:
+class FtCoefficients(namedtuple("FtCoefficients", "eta zeta chi",
+                                defaults=(0.0, 0.0))):
     """Viscosities for the causal tensor: shear eta, bulk zeta, heat chi."""
-    eta: float
-    zeta: float = 0.0
-    chi: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.eta > 0.0:
-            raise ValueError(f"eta must be positive, got {self.eta:g}")
-        if self.zeta < 0.0 or self.chi < 0.0:
+    def __new__(cls, *args, **kw):
+        co = super().__new__(cls, *args, **kw)
+        if not co.eta > 0.0:
+            raise ValueError(f"eta must be positive, got {co.eta:g}")
+        if co.zeta < 0.0 or co.chi < 0.0:
             raise ValueError("zeta and chi must be nonnegative")
+        return co
 
 
-@dataclass(frozen=True)
-class BdnCoefficients:
+class BdnCoefficients(namedtuple("BdnCoefficients", "eta mu nu")):
     """Shear viscosity eta and regulator weights mu, nu."""
-    eta: float
-    mu: float
-    nu: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.eta > 0.0 and self.mu > 0.0 and self.nu > 0.0):
+    def __new__(cls, *args, **kw):
+        co = super().__new__(cls, *args, **kw)
+        if not (co.eta > 0.0 and co.mu > 0.0 and co.nu > 0.0):
             raise ValueError("eta, mu, nu must all be positive")
+        return co
 
 
 def ft_coefficients(t, eos, co):
@@ -78,29 +80,35 @@ def ft_coefficients(t, eos, co):
 # and n is a left eigenvector of the velocity gradient
 # dU_d/dw_c = theta I + theta^3 w (x) psi, with eigenvalue theta, since
 # n . w = 0.  Each family below is that reduction of its projector
-# assembly; entries are (M00, M01, M10, M11).
+# assembly, bound once to its coefficients; entries are (M00, M01, M10, M11).
 
-def ft_entries(t, u0, u1, eos, co):
+def ft_entries(eos, co):
     """Causal viscosity/heat-conduction tensor:
     M = sigma theta Pi + chi theta^2 U (x) U."""
-    s = ft_coefficients(t, eos, co) * t
-    h = co.chi * t * t
-    m01 = (s + h) * u0 * u1
-    return s * u1 * u1 + h * u0 * u0, m01, m01, s * u0 * u0 + h * u1 * u1
+    chi = co.chi
+    def entries(t, u0, u1):
+        s = ft_coefficients(t, eos, co) * t
+        h = chi * t * t
+        m01 = (s + h) * u0 * u1
+        return s * u1 * u1 + h * u0 * u0, m01, m01, s * u0 * u0 + h * u1 * u1
+    return entries
 
 
-def eckart_entries(t, u0, u1, co):
+def eckart_entries(co):
     """Classical first-order (Eckart) tensor:
     M = ((4/3) eta + zeta) theta u0^2 Pi + chi theta^2 u0 a (x) U,
     a = (u0^2 + u1^2, 2 u0 u1), the projected temperature gradient."""
-    e = (4.0 * co.eta / 3.0 + co.zeta) * t * u0 * u0
-    h = co.chi * t * t * u0
-    a0, a1 = u0 * u0 + u1 * u1, 2.0 * u0 * u1
-    return (e * u1 * u1 + h * a0 * u0, e * u1 * u0 + h * a0 * u1,
-            e * u0 * u1 + h * a1 * u0, e * u0 * u0 + h * a1 * u1)
+    visc, chi = 4.0 * co.eta / 3.0 + co.zeta, co.chi
+    def entries(t, u0, u1):
+        e = visc * t * u0 * u0
+        h = chi * t * t * u0
+        a0, a1 = u0 * u0 + u1 * u1, 2.0 * u0 * u1
+        return (e * u1 * u1 + h * a0 * u0, e * u1 * u0 + h * a0 * u1,
+                e * u0 * u1 + h * a1 * u0, e * u0 * u0 + h * a1 * u1)
+    return entries
 
 
-def bdn_entries(u0, u1, co):
+def bdn_entries(co):
     """BDN tensor for the radiation fluid:
     M = (4/3) eta u0^2 Pi - mu w (x) w - nu a (x) a,
     w = (4 u0 u1, u0^2 + 3 u1^2), a = (u0^2 + u1^2, 2 u0 u1).
@@ -122,12 +130,15 @@ def bdn_entries(u0, u1, co):
     b != 0 when nu < 4 eta.  tests/test_dissipation.py certifies these
     forms symbolically.
     """
-    e = 4.0 * co.eta / 3.0 * u0 * u0
-    w0, w1 = 4.0 * u0 * u1, u0 * u0 + 3.0 * u1 * u1
-    a0, a1 = u0 * u0 + u1 * u1, 2.0 * u0 * u1
-    m01 = e * u1 * u0 - co.mu * w0 * w1 - co.nu * a0 * a1
-    return (e * u1 * u1 - co.mu * w0 * w0 - co.nu * a0 * a0, m01, m01,
-            e * u0 * u0 - co.mu * w1 * w1 - co.nu * a1 * a1)
+    shear, mu, nu = 4.0 * co.eta / 3.0, co.mu, co.nu
+    def entries(t, u0, u1):
+        e = shear * u0 * u0
+        w0, w1 = 4.0 * u0 * u1, u0 * u0 + 3.0 * u1 * u1
+        a0, a1 = u0 * u0 + u1 * u1, 2.0 * u0 * u1
+        m01 = e * u1 * u0 - mu * w0 * w1 - nu * a0 * a1
+        return (e * u1 * u1 - mu * w0 * w0 - nu * a0 * a0, m01, m01,
+                e * u0 * u0 - mu * w1 * w1 - nu * a1 * a1)
+    return entries
 
 
 def nu_bound(eta, mu):
@@ -135,20 +146,19 @@ def nu_bound(eta, mu):
     return 1.0 / (1.0 / (3.0 * eta) - 1.0 / (9.0 * mu))
 
 
-def bdn_causality_class(co, rtol=1e-12):
+def bdn_causality_class(co):
     """Classify a coefficient triple: acausal, strictly or sharply causal.
 
     Causality requires mu >= (4/3) eta and nu <= (1/(3 eta) - 1/(9 mu))^-1;
-    'sharply' means nu sits on the bound (within rtol), 'strictly' means
-    it sits below.  Returns (label, bound).
+    'sharply' means nu sits on the bound (within TOL_CAUSAL), 'strictly'
+    means it sits below.  Returns (label, bound).
     """
     floor = 4.0 * co.eta / 3.0
     bound = nu_bound(co.eta, co.mu)
-    if co.mu < floor * (1.0 - rtol):
+    if (co.mu < floor * (1.0 - TOL_CAUSAL)
+            or co.nu > bound * (1.0 + TOL_CAUSAL)):
         return "acausal", bound
-    if co.nu > bound * (1.0 + rtol):
-        return "acausal", bound
-    if abs(co.nu - bound) <= rtol * bound:
+    if abs(co.nu - bound) <= TOL_CAUSAL * bound:
         return "sharply_causal", bound
     return "strictly_causal", bound
 
@@ -156,16 +166,16 @@ def bdn_causality_class(co, rtol=1e-12):
 class DissipationModel:
     """One dissipation tensor bound to its coefficients.
 
-    tag is one of 'ft-viscous', 'ft-heat', 'bdn', 'eckart'.
-    entries(t, u0, u1) evaluates the planar profile matrix at
-    temperature t and velocity (u0, u1) as four floats,
-    (M00, M01, M10, M11); it is the family's closed form, bound once
-    here.  matrix(state) is the same as a 2x2 array.
+    tag is one of 'ft-viscous', 'ft-heat', 'bdn', 'eckart'; co is the
+    family's coefficient namedtuple.  entries(t, u0, u1) evaluates the
+    planar profile matrix at temperature t and velocity (u0, u1) as four
+    floats, (M00, M01, M10, M11): the family's closed form, as its binder
+    returned it.  matrix(state) is the same as a 2x2 array.
     """
 
     def __init__(self, tag, coefficients, eos=None):
         self.tag = tag
-        self.co = coefficients
+        self.co = co = coefficients
         self.eos = eos
         if tag in ("ft-viscous", "ft-heat", "eckart"):
             if not isinstance(coefficients, FtCoefficients):
@@ -177,6 +187,8 @@ class DissipationModel:
             if tag == "ft-heat" and not coefficients.chi > 0.0:
                 # M = sigma theta n (x) n has rank one without heat flux
                 raise ValueError("ft-heat needs chi > 0; use ft-viscous")
+            self.entries = (eckart_entries(co) if tag == "eckart"
+                            else ft_entries(eos, co))
         elif tag == "bdn":
             if not isinstance(coefficients, BdnCoefficients):
                 raise TypeError("bdn needs BdnCoefficients")
@@ -184,15 +196,9 @@ class DissipationModel:
                 raise EosError(
                     "the BDN tensor is formulated for the pure radiation "
                     f"fluid; got EOS {eos.name!r}")
+            self.entries = bdn_entries(co)
         else:
             raise ValueError(f"unknown dissipation tag {tag!r}")
-        co = coefficients
-        if tag == "bdn":
-            self.entries = lambda t, u0, u1: bdn_entries(u0, u1, co)
-        elif tag == "eckart":
-            self.entries = lambda t, u0, u1: eckart_entries(t, u0, u1, co)
-        else:
-            self.entries = lambda t, u0, u1: ft_entries(t, u0, u1, eos, co)
 
     def __reduce__(self):
         # entries is a closure: rebuild from the tag and coefficients
@@ -203,12 +209,10 @@ class DissipationModel:
         return np.array(self.entries(*state.theta_u())).reshape(2, 2)
 
     def describe(self):
+        text = ", ".join(f"{k}={v:g}" for k, v in self.co._asdict().items())
         if self.tag == "bdn":
-            label, bound = bdn_causality_class(self.co)
-            return (f"bdn(eta={self.co.eta:g}, mu={self.co.mu:g}, "
-                    f"nu={self.co.nu:g}) [{label}]")
-        return (f"{self.tag}(eta={self.co.eta:g}, zeta={self.co.zeta:g}, "
-                f"chi={self.co.chi:g})")
+            return f"bdn({text}) [{bdn_causality_class(self.co)[0]}]"
+        return f"{self.tag}({text})"
 
 
 def _is_radiation(eos):
@@ -216,20 +220,15 @@ def _is_radiation(eos):
 
 
 def make_model(tag, eos=None, **kw):
-    """Factory from primitive keyword coefficients (CLI entry point).
-
-    Raises ValueError for a coefficient the model family does not take.
-    """
-    takes = ("eta", "mu", "nu") if tag == "bdn" else ("eta", "zeta", "chi")
-    extra = sorted(set(kw) - set(takes))
+    """Factory from primitive keyword coefficients (CLI entry point);
+    eta defaults to 1.  Raises ValueError for a coefficient the model
+    family does not take."""
+    cls = BdnCoefficients if tag == "bdn" else FtCoefficients
+    extra = sorted(set(kw) - set(cls._fields))
     if extra:
         raise ValueError(f"{tag} does not take {', '.join(extra)} "
-                         f"(it takes {', '.join(takes)})")
-    if tag == "bdn":
-        if "mu" not in kw or "nu" not in kw:
-            raise ValueError("bdn needs both mu and nu")
-        co = BdnCoefficients(kw.get("eta", 1.0), kw["mu"], kw["nu"])
-        return DissipationModel("bdn", co, eos)
-    co = FtCoefficients(kw.get("eta", 1.0), kw.get("zeta", 0.0),
-                        kw.get("chi", 0.0))
-    return DissipationModel(tag, co, eos)
+                         f"(it takes {', '.join(cls._fields)})")
+    required = [k for k in cls._fields[1:] if k not in cls._field_defaults]
+    if not kw.keys() >= set(required):
+        raise ValueError(f"{tag} needs both {' and '.join(required)}")
+    return DissipationModel(tag, cls(**{"eta": 1.0, **kw}), eos)

@@ -55,6 +55,8 @@ X_MAX = 1e9
 # spiral when an eigenvalue has |Im| > TOL_OSC |lambda|
 TOL_DET = 1e-10
 TOL_OSC = 1e-6
+TOL_MONO = 1e-9     # oscillation_detect's slack, per max(1, |rho|)
+TOL_REST = 1e-9     # _classify's zero, per the largest |lambda|
 
 
 def _det(m):
@@ -98,13 +100,13 @@ def lyapunov_eval(state, eos, q0, q1):
             + q0 * state.psi0 - q1 * state.psi1)
 
 
-def oscillation_detect(rho, rel_tol=1e-9):
+def oscillation_detect(rho):
     """True when the density samples fail to be monotone."""
     rho = np.asarray(rho, dtype=float)
     if rho.size < 3:
         return False
     dr = np.diff(rho)
-    slack = rel_tol * max(1.0, float(np.abs(rho).max()))
+    slack = TOL_MONO * max(1.0, float(np.abs(rho).max()))
     return not (np.all(dr > -slack) or np.all(dr < slack))
 
 
@@ -120,18 +122,18 @@ class RestPointReport:
         self.kind = self._classify(eigenvalues)
 
     @staticmethod
-    def _classify(lam, tol=1e-9):
+    def _classify(lam):
         scale = float(np.abs(lam).max())
         if scale == 0.0:
             return "degenerate"
         re, im = lam.real / scale, lam.imag / scale
-        if np.any(np.abs(im) > tol):
-            if np.all(re > tol):
+        if np.any(np.abs(im) > TOL_REST):
+            if np.all(re > TOL_REST):
                 return "spiral-source"
-            if np.all(re < -tol):
+            if np.all(re < -TOL_REST):
                 return "spiral-sink"
             return "degenerate"
-        if np.any(np.abs(re) <= tol):
+        if np.any(np.abs(re) <= TOL_REST):
             return "degenerate"
         if re.min() < 0.0 < re.max():
             return "saddle"

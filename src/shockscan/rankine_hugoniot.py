@@ -27,6 +27,7 @@ from . import fluid_core
 from .fluid_core import FluidState, gnl_indicator, linspace
 
 _BRENTQ_KW = dict(xtol=1e-300, rtol=8.9e-16, maxiter=200)
+TOL_JUMP = 1e-8     # relative flux error allowed at an end state
 
 
 class NoShock(ValueError):
@@ -217,11 +218,11 @@ def shock_from_strength(eos, q1, strength):
     return sd
 
 
-def _check_consistency(sd, tol=1e-8):
+def _check_consistency(sd):
     # both end states must reproduce the prescribed fluxes
     for st in (sd.state_minus, sd.state_plus):
         f0, f1 = fluid_core.flux(st, sd.eos)
         err = max(abs(f0 - sd.q0), abs(f1 - sd.q1)) / max(sd.q0, sd.q1)
-        if err > tol:
+        if err > TOL_JUMP:
             raise NoShock(f"end state fails the jump conditions, "
                           f"relative error {err:.3e}")

@@ -176,15 +176,15 @@ def test_ft_coefficients_luminal_eos():
 
 
 def test_coefficient_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="eta must be positive, got 0"):
         FtCoefficients(0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="zeta and chi must be nonnegative"):
         FtCoefficients(1.0, -0.1)
-    with pytest.raises(ValueError):
-        FtCoefficients(1.0, 0.0, -1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="zeta and chi must be nonnegative"):
+        FtCoefficients(1.0, chi=-1.0)
+    with pytest.raises(ValueError, match="eta, mu, nu must all be positive"):
         BdnCoefficients(1.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="eta, mu, nu must all be positive"):
         BdnCoefficients(-1.0, 1.0, 1.0)
 
 
@@ -502,14 +502,15 @@ def test_model_validation():
     with pytest.raises(ValueError, match="ft-heat needs chi > 0; use "
                                          "ft-viscous"):
         make_model("ft-heat", RAD, eta=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bdn needs both mu and nu"):
         make_model("bdn", RAD, mu=2.0)        # nu missing
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown dissipation tag"):
         make_model("nonsense", RAD, eta=1.0)
     # a coefficient the family does not take is an error, not dropped
     with pytest.raises(ValueError, match="ft-heat does not take mu"):
         make_model("ft-heat", RAD, eta=1.0, chi=0.5, mu=2.0)
-    with pytest.raises(ValueError, match="bdn does not take chi, zeta"):
+    with pytest.raises(ValueError, match=r"bdn does not take chi, zeta "
+                                         r"\(it takes eta, mu, nu\)"):
         make_model("bdn", RAD, mu=2.0, nu=2.0, chi=1.0, zeta=1.0)
     with pytest.raises(ValueError, match="etaa"):
         make_model("ft-viscous", RAD, etaa=1.0)
@@ -539,6 +540,8 @@ def test_model_and_eos_pickle():
                              nu=4.0),
                   make_model("ft-heat", make_eos("power-law:5/2"), eta=1.0,
                              chi=0.5),
+                  make_model("ft-viscous", make_eos("power-law:5"), eta=1.3,
+                             zeta=0.2),
                   make_model("eckart", poly, eta=1.0, chi=0.5)):
         copy = pickle.loads(pickle.dumps(model))
         assert copy.entries(1.2, 1.25, 0.75) == model.entries(1.2, 1.25, 0.75)

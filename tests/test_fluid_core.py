@@ -222,6 +222,24 @@ def test_parse_expression_errors():
         make_eos("power-law:abc")
 
 
+POLY_TEXT = "p(theta) = 1/3*theta^4 + 7/10*theta^3"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: parse_eos_expression("p(theta) = -1/3*theta^4"),
+     "p(theta) <= 0"),
+    (lambda: parse_eos_expression("p(theta) = 1"), "p'(theta) <= 0"),
+    (lambda: parse_eos_expression("p(theta) = theta^4 +"), "empty term"),
+    (lambda: parse_eos_expression(POLY_TEXT).theta_of_rho(0.0),
+     "must be positive"),
+    (lambda: parse_eos_expression(POLY_TEXT).theta_of_rho(1e300),
+     "outside EOS validity range"),
+], ids=["negative-p", "flat-p", "empty-term", "zero-rho", "huge-rho"])
+def test_eos_input_errors(call, message):
+    with pytest.raises(EosError, match=re.escape(message)):
+        call()
+
+
 def test_make_eos_dispatch(tmp_path):
     assert make_eos("radiation").name == "radiation"
     assert float(make_eos("power-law:5").k) == 5.0

@@ -234,17 +234,18 @@ import shockscan.cli
 from shockscan import make_model, parse_eos_expression, radiation_eos
 
 out = {}
-def numpy_loaded(step):
-    out[step] = "numpy" in sys.modules
+def loaded(step):
+    out[step] = [m for m in ("dataclasses", "inspect", "numpy")
+                 if m in sys.modules]
 
-numpy_loaded("import")
+loaded("import")
 eos = radiation_eos()
 make_model("bdn", eos, eta=1.0, mu=4 / 3, nu=4.0)
 make_model("eckart", eos, eta=1.0, chi=1.0)
 make_model("ft-heat", eos, eta=1.0, chi=0.5)
 make_model("ft-viscous", eos, eta=1.0)
 parse_eos_expression("p(theta) = 1/3*theta^4 + 7/10*theta^3")
-numpy_loaded("models")
+loaded("models")
 tmp = sys.argv[1]
 path = os.path.join(tmp, "poly.eos")
 with open(path, "w") as fh:
@@ -253,12 +254,12 @@ codes = [shockscan.cli.main(["rh", "--eos", "radiation", "--q1", "1",
                              "--strength", "0.5"]),
          shockscan.cli.main(["rh", "--eos", "file:" + path, "--q1", "1",
                              "--strength", "0.5", "--json", "--out", tmp])]
-numpy_loaded("rh")
+loaded("rh")
 codes.append(shockscan.cli.main(["causality", "--mu", "4/3", "--nu", "4"]))
-numpy_loaded("causality")
+loaded("causality")
 out["configparser"] = "configparser" in sys.modules
 shockscan.run_scan("radiation", "ft-viscous", {"eta": 1.0}, [1.0], [0.5])
-numpy_loaded("run_scan")
+loaded("run_scan")
 out["codes"] = codes
 print(json.dumps(out))
 """
@@ -289,11 +290,12 @@ def test_default_path_imports_no_scipy():
 def test_end_states_and_causality_import_no_numpy(tmp_path):
     # a fresh interpreter: the package, the CLI, every model, an
     # expression EOS, rh (also with --json on a file: EOS) and causality
-    # load no numpy; a scan does
+    # load no numpy, and neither dataclasses nor the inspect module it
+    # pulls in; a scan loads numpy
     out = _probe(NUMPY_PROBE, str(tmp_path))
-    assert out == {"import": False, "models": False, "rh": False,
-                   "causality": False, "configparser": False,
-                   "run_scan": True, "codes": [0, 0, 0]}
+    assert "numpy" in out.pop("run_scan")
+    assert out == {"import": [], "models": [], "rh": [], "causality": [],
+                   "configparser": False, "codes": [0, 0, 0]}
     assert json.loads((tmp_path / "rh.json").read_text())["lax"] is True
 
 
@@ -558,6 +560,30 @@ def test_cli_scan_grid_counts(tmp_path, capsys):
 
 def test_cli_scan_missing_model(capsys):
     assert main(["scan", "--eos", "radiation", "--q1", "3"]) == 1
+
+
+@pytest.mark.parametrize("argv, code, expect", [
+    (["rh", "--q1", "1", "--strength", "0.5"], 1,
+     "error: an EOS is required"),
+    (["rh", "--eos", "radiation", "--q1", "1"], 1,
+     "error: either --strength or --q0 is required"),
+    (["profile", "--eos", "radiation", "--q1", "1", "--strength", "0.5"], 1,
+     "error: a model is required"),
+    (["scan", "--model", "ft-viscous", "--q1", "1"], 1,
+     "error: an EOS is required"),
+    (["scan", "--eos", "radiation", "--model", "ft-viscous"], 1,
+     "error: a momentum flux is required"),
+    (["scan", "--eos", "radiation", "--model", "bdn", "--mu", "4/3",
+      "--nu", "4", "--q1", "1", "--strengths", "0.05,0.5"], 0,
+     "first oscillatory strength: 0.5\n"),
+], ids=["rh-eos", "rh-shock", "profile-model", "scan-eos", "scan-q1",
+        "scan-onset"])
+def test_cli_missing_inputs_and_onset(argv, code, expect, tmp_path, capsys):
+    # a missing input exits 1 with its message on stderr; a scan that
+    # turns oscillatory names the first oscillatory strength
+    assert main(argv + ["--out", str(tmp_path)]) == code
+    captured = capsys.readouterr()
+    assert expect in (captured.err if code else captured.out)
 
 
 def test_cli_scan_completes_with_failures(tmp_path, capsys):
