@@ -3,14 +3,12 @@
 
 import numpy as np
 
-from shockscan import (g_eval, q_max, radiation_eos, rho_bar,
-                       shock_from_strength)
+from shockscan import g_eval, q_max, radiation_eos, shock_from_strength
 
 eos = radiation_eos()
 q1 = 3.0
 
-rb = rho_bar(eos, q1)
-rs, Q = q_max(eos, q1)
+rs, Q, rb = q_max(eos, q1)
 print(f"q1 = {q1}: admissible energies (0, {rb:g}), "
       f"g peaks at rho* = {rs:g} with Q = {Q:g}")
 

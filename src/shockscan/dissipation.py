@@ -24,8 +24,18 @@ class CausalityError(ValueError):
     pass
 
 
-class FtCoefficients(namedtuple("FtCoefficients", "eta zeta chi",
-                                defaults=(0.0, 0.0))):
+class _Validated:
+    """namedtuple mixin: _make, and so _replace, build through the
+    validating __new__ of the subclass."""
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class FtCoefficients(_Validated, namedtuple("FtCoefficients", "eta zeta chi",
+                                            defaults=(0.0, 0.0))):
     """Viscosities for the causal tensor: shear eta, bulk zeta, heat chi."""
     __slots__ = ()
 
@@ -38,7 +48,7 @@ class FtCoefficients(namedtuple("FtCoefficients", "eta zeta chi",
         return co
 
 
-class BdnCoefficients(namedtuple("BdnCoefficients", "eta mu nu")):
+class BdnCoefficients(_Validated, namedtuple("BdnCoefficients", "eta mu nu")):
     """Shear viscosity eta and regulator weights mu, nu."""
     __slots__ = ()
 
@@ -164,35 +174,35 @@ def bdn_causality_class(co):
 
 
 class DissipationModel:
-    """One dissipation tensor bound to its coefficients.
+    """One dissipation tensor bound to its coefficients and its EOS.
 
     tag is one of 'ft-viscous', 'ft-heat', 'bdn', 'eckart'; co is the
-    family's coefficient namedtuple.  entries(t, u0, u1) evaluates the
+    family's coefficient namedtuple; eos is the fluid's, the one its
+    shocks must share.  entries(t, u0, u1) evaluates the
     planar profile matrix at temperature t and velocity (u0, u1) as four
     floats, (M00, M01, M10, M11): the family's closed form, as its binder
     returned it.  matrix(state) is the same as a 2x2 array.
     """
 
-    def __init__(self, tag, coefficients, eos=None):
+    def __init__(self, tag, coefficients, eos):
         self.tag = tag
         self.co = co = coefficients
         self.eos = eos
         if tag in ("ft-viscous", "ft-heat", "eckart"):
             if not isinstance(coefficients, FtCoefficients):
                 raise TypeError(f"{tag} needs FtCoefficients")
-            if eos is None:
-                raise ValueError(f"{tag} matrix depends on the EOS")
             if tag == "ft-viscous" and coefficients.chi != 0.0:
                 raise ValueError("ft-viscous has chi = 0; use ft-heat")
-            if tag == "ft-heat" and not coefficients.chi > 0.0:
-                # M = sigma theta n (x) n has rank one without heat flux
-                raise ValueError("ft-heat needs chi > 0; use ft-viscous")
+            if tag != "ft-viscous" and not coefficients.chi > 0.0:
+                # without heat flux M is a multiple of n (x) n, rank one
+                raise ValueError(f"{tag} needs chi > 0" + (
+                    "; use ft-viscous" if tag == "ft-heat" else ""))
             self.entries = (eckart_entries(co) if tag == "eckart"
                             else ft_entries(eos, co))
         elif tag == "bdn":
             if not isinstance(coefficients, BdnCoefficients):
                 raise TypeError("bdn needs BdnCoefficients")
-            if eos is not None and not _is_radiation(eos):
+            if not _is_radiation(eos):
                 raise EosError(
                     "the BDN tensor is formulated for the pure radiation "
                     f"fluid; got EOS {eos.name!r}")
@@ -219,7 +229,7 @@ def _is_radiation(eos):
     return getattr(eos, "terms", None) == [(Fraction(1, 3), Fraction(4))]
 
 
-def make_model(tag, eos=None, **kw):
+def make_model(tag, eos, **kw):
     """Factory from primitive keyword coefficients (CLI entry point);
     eta defaults to 1.  Raises ValueError for a coefficient the model
     family does not take."""

@@ -345,14 +345,13 @@ class FluidState:
         return f"FluidState({self.psi0:.17g}, {self.psi1:.17g})"
 
 
-def flux(state, eos):
+def flux(t, psi0, psi1, eos):
     """The alpha-column of the momentum flux, T^{a1}, as a pair of
     floats: column 1 of T^ab = theta^3 p'(theta) psi^a psi^b
-    + p(theta) g^ab, with g = diag(-1, 1) the metric of the t-x plane."""
-    t = state.theta
+    + p(theta) g^ab, with g = diag(-1, 1) the metric of the t-x plane,
+    at the state (psi0, psi1) of temperature t."""
     c = t ** 3 * eos.dp(t)
-    psi1 = state.psi1
-    return c * (state.psi0 * psi1), c * (psi1 * psi1) + eos.p(t)
+    return c * (psi0 * psi1), c * (psi1 * psi1) + eos.p(t)
 
 
 def stress_hessian(state, eos):

@@ -74,18 +74,17 @@ def planar_rhs(w, shock, model):
 
     Raises DomainError outside psi0 > |psi1| and SingularMatrix when
     det M falls below TOL_DET * ||M||; the shooting solver relies on
-    the latter escaping through the integrator.  theta, u and the flux
-    are those of FluidState and fluid_core.flux, written out in the
-    same order of operations; the 2x2 system is solved by Cramer's rule.
+    the latter escaping through the integrator.  theta and u are those
+    of FluidState, written out in the same order of operations, and F
+    is fluid_core.flux less q; the 2x2 system is solved by Cramer's rule.
     """
     psi0, psi1 = -w[0], w[1]
     if not psi0 > abs(psi1):
         raise DomainError(f"state ({psi0:g}, {psi1:g}) outside psi0 > |psi1|")
     t = (psi0 ** 2 - psi1 ** 2) ** -0.5
-    eos = shock.eos
-    c = t ** 3 * eos.dp(t)
-    f0 = c * (psi0 * psi1) - shock.q0
-    f1 = c * (psi1 * psi1) + eos.p(t) - shock.q1
+    f0, f1 = flux(t, psi0, psi1, shock.eos)
+    f0 -= shock.q0
+    f1 -= shock.q1
     m00, m01, m10, m11 = m = model.entries(t, t * psi0, t * psi1)
     det, singular = _det(m)
     if singular:
@@ -153,13 +152,13 @@ class RestPointReport:
         }
 
 
-def rest_point_classify(label, state, model, eos):
+def rest_point_classify(label, state, model):
     """Eigen-decompose the profile linearization at a rest state."""
     M = model.matrix(state)
     det, singular = _det(M.ravel().tolist())
     if singular:
         raise SingularMatrix(state.cov, abs(det), 0.0)
-    _, k001, k011, k111 = stress_hessian(state, eos)
+    _, k001, k011, k111 = stress_hessian(state, model.eos)
     H1 = [[k001, k011], [k011, k111]]
     lam, vec = np.linalg.eig(np.linalg.solve(M, H1))
     return RestPointReport(label, state, lam, vec)
@@ -253,11 +252,11 @@ def scalar_profile_ft(shock, co, **overrides):
 
     def R_of(rho):
         ph = eos.p_hat(rho)
-        u1 = u1_of_rho(eos, rho, q0, q1)
+        u1 = u1_of_rho(rho, q0, q1)
         return q1 - ph - (rho + ph) * u1 * u1
 
     def rho_prime(rho):
-        u1 = u1_of_rho(eos, rho, q0, q1)
+        u1 = u1_of_rho(rho, q0, q1)
         state = FluidState.from_rho_u1(eos, rho, u1)
         sig = ft_coefficients(state.theta, eos, co)
         return R_of(rho) * q0 ** 2 / (sig * (rho + q1) * u1 ** 3)
@@ -284,7 +283,7 @@ def scalar_profile_ft(shock, co, **overrides):
     xs = np.concatenate([bwd.t[::-1], fwd.t[1:]])
     rho = np.concatenate([bwd.y[0, ::-1], fwd.y[0, 1:]])
 
-    u1 = np.array([u1_of_rho(eos, r, q0, q1) for r in rho])
+    u1 = np.array([u1_of_rho(r, q0, q1) for r in rho])
     states = [FluidState.from_rho_u1(eos, r, u) for r, u in zip(rho, u1)]
     w = np.array([s.cov for s in states])
     lyap = np.array([lyapunov_eval(s, eos, q0, q1) for s in states])
@@ -295,7 +294,7 @@ def scalar_profile_ft(shock, co, **overrides):
     reports = []
     for label, r0 in (("minus", rm), ("plus", rp)):
         lam = (rho_prime(r0 + delta) - rho_prime(r0 - delta)) / (2 * delta)
-        st0 = FluidState.from_rho_u1(eos, r0, u1_of_rho(eos, r0, q0, q1))
+        st0 = FluidState.from_rho_u1(eos, r0, u1_of_rho(r0, q0, q1))
         reports.append(RestPointReport(
             label, st0, np.array([lam], dtype=complex),
             np.array([[1.0]])))
@@ -314,6 +313,15 @@ def scalar_profile_ft(shock, co, **overrides):
         settings=st)
 
 
+def _check_shared_eos(shock, model):
+    """Raise ValueError unless model is bound to the EOS of shock: the
+    same object, or a polynomial with the same terms."""
+    a, b = shock.eos, model.eos
+    if not (a is b or getattr(a, "terms", a) == getattr(b, "terms", b)):
+        raise ValueError(f"the model is bound to EOS {b.name!r}, the "
+                         f"shock to EOS {a.name!r}")
+
+
 def shoot_heteroclinic(shock, model, **overrides):
     """Saddle-separatrix shooting for the planar profile system.
 
@@ -329,10 +337,12 @@ def shoot_heteroclinic(shock, model, **overrides):
 
     A connected orbit is oscillatory when the target is a spiral or
     the density samples are not monotone, and carries no reason.
+    Raises ValueError when the model is bound to another EOS than the
+    shock.
     """
+    _check_shared_eos(shock, model)
     st = _default_settings(**overrides)
     eos = shock.eos
-    q = np.array([shock.q0, shock.q1])
     wm = shock.state_minus.cov
     wp = shock.state_plus.cov
     amp = float(np.linalg.norm(wp - wm))
@@ -340,8 +350,8 @@ def shoot_heteroclinic(shock, model, **overrides):
     rho_floor = 1e-10 * shock.rho_minus
 
     try:
-        rp_minus = rest_point_classify("minus", shock.state_minus, model, eos)
-        rp_plus = rest_point_classify("plus", shock.state_plus, model, eos)
+        rp_minus = rest_point_classify("minus", shock.state_minus, model)
+        rp_plus = rest_point_classify("plus", shock.state_plus, model)
     except SingularMatrix as exc:
         return ProfileResult("singular_matrix", shock, model,
                              reason=str(exc), settings=st)
@@ -425,8 +435,8 @@ def shoot_heteroclinic(shock, model, **overrides):
     if sol.status < 0:
         # step size underflow: the integrator ground to a halt without
         # reaching any event.  Find out what it ran into.
-        return failed(*_diagnose_stall(sol.y[:2, -1], direction, model,
-                                       eos, q, rbar, rho_floor, amp))
+        return failed(*_diagnose_stall(sol.y[:2, -1], direction, shock,
+                                       model, rho_floor, amp))
 
     if ended in ("cone", "rho"):
         return failed("escaped_domain", "orbit left the physical domain")
@@ -472,28 +482,33 @@ def shoot_heteroclinic(shock, model, **overrides):
                          arclength=float(sol.y[2, -1]), settings=st)
 
 
-def _diagnose_stall(w, direction, model, eos, q, rbar, rho_floor, amp):
+def _diagnose_stall(w, direction, shock, model, rho_floor, amp):
     """Post-mortem for a step-size underflow.
 
     The integrator cannot cross the singular locus of M or the domain
     boundary: the derivative blows up and the step control underflows
     just short of it, so no event fires.  Probe a short ray along the
-    orbit tangent: a sign change (or collapse) of det M certifies the
-    singular locus; proximity to the light cone or to the admissible
-    density interval certifies a domain escape.
+    orbit tangent, planar_rhs, where M is regular: a sign change (or
+    collapse) of det M ahead certifies the singular locus; proximity to
+    the light cone or to the admissible density interval certifies a
+    domain escape.
     """
     psi0, psi1 = -w[0], w[1]
     scale = abs(psi0) + abs(psi1)
     if psi0 - abs(psi1) <= 1e-9 * scale:
         return "escaped_domain", "stalled at the light cone"
     state = FluidState(psi0, psi1)
-    rho = eos.rho(state.theta)
-    if rho >= rbar * (1.0 - 1e-9) or rho <= rho_floor * (1.0 + 1e-9):
+    rho = shock.eos.rho(state.theta)
+    if rho >= shock.rho_bar * (1.0 - 1e-9) or rho <= rho_floor * (1.0 + 1e-9):
         return "escaped_domain", "stalled at the admissible density bound"
-    M = model.matrix(state)
-    d0, _ = _det(M.ravel().tolist())
-    tangent = direction * np.linalg.solve(M, flux(state, eos) - q)
-    nt = np.linalg.norm(tangent)
+    singular_locus = ("singular_matrix", "orbit ran into the singular locus "
+                      "of the profile matrix (det M changes sign ahead)")
+    try:
+        tangent = direction * np.array(planar_rhs(w, shock, model))
+    except SingularMatrix:
+        return singular_locus
+    d0, _ = _det(model.entries(*state.theta_u()))
+    nt = math.hypot(*tangent)
     if nt > 0.0:
         tangent = tangent / nt
         for k in range(48):
@@ -503,9 +518,7 @@ def _diagnose_stall(w, direction, model, eos, q, rbar, rho_floor, amp):
             mk = model.entries(*FluidState(-wk[0], wk[1]).theta_u())
             dk, singular = _det(mk)
             if dk * d0 < 0.0 or singular:
-                return ("singular_matrix",
-                        "orbit ran into the singular locus of the "
-                        "profile matrix (det M changes sign ahead)")
+                return singular_locus
     return "no_connection", "integrator stalled (step size underflow)"
 
 

@@ -15,8 +15,8 @@ end states exist exactly for 0 < r < Q.
 The roots come from the package's port of scipy's brentq and the
 characteristic speeds from relativistic velocity addition, so this
 module runs on Python floats and imports neither numpy nor scipy.  A
-shock computes (rho_star, Q) once: shock_from_strength hands it to
-end_states.
+shock computes (rho_star, Q, rho_bar) once: shock_from_strength hands
+it to end_states.
 """
 
 import math
@@ -58,7 +58,8 @@ def rho_bar(eos, q1):
 
 
 def q_max(eos, q1):
-    """Maximizer and maximum of g: returns (rho_star, Q).
+    """Maximizer and maximum of g, and the end of its interval:
+    returns (rho_star, Q, rho_bar).
 
     Warns when the acoustic mode loses genuine nonlinearity somewhere
     on (0, rho_bar); g is then not guaranteed unimodal and the root
@@ -89,10 +90,10 @@ def q_max(eos, q1):
                 "jump function has no interior maximum; "
                 f"no shock end states exist for {eos.name}")
         rs = brentq(dg, lo, rb, **_BRENTQ_KW)
-    return rs, g_eval(eos, q1, rs)
+    return rs, g_eval(eos, q1, rs), rb
 
 
-def u1_of_rho(eos, rho, q0, q1):
+def u1_of_rho(rho, q0, q1):
     """x-velocity on the profile manifold, u1 = ((rho+q1)^2/q0^2 - 1)^(-1/2)."""
     s = ((rho + q1) / q0) ** 2 - 1.0
     if s <= 0.0:
@@ -107,11 +108,16 @@ def char_speeds(state, eos):
     to the fluid velocity u^1/u^0, lam = (u1 -+ c u0) / (u0 -+ c u1).
     No denominator cancels for c < 1, so the speeds stay accurate up
     to the light cone, where eigenvalues of the rounded flux-Hessian
-    pencil do not.
+    pencil do not.  The fast speed is formed from its distance to 1,
+    1 - lam = (psi0 - psi1) (1 - c) / (psi0 + c psi1), which keeps its
+    relative accuracy at the cone, where psi0 - psi1 is exact; the
+    quotient there can round to 1.
     """
     t, u0, u1 = state.theta_u()
     c = math.sqrt(eos.cs2(t))
-    return (u1 - c * u0) / (u0 - c * u1), (u1 + c * u0) / (u0 + c * u1)
+    psi0, psi1 = state.psi0, state.psi1
+    return ((u1 - c * u0) / (u0 - c * u1),
+            1.0 - (psi0 - psi1) * (1.0 - c) / (psi0 + c * psi1))
 
 
 class ShockData:
@@ -128,8 +134,8 @@ class ShockData:
         self.rho_star = rho_star
         self.q_cap = q_cap
         self.rho_bar = rho_bar
-        self.u1_minus = u1_of_rho(eos, rho_minus, q0, q1)
-        self.u1_plus = u1_of_rho(eos, rho_plus, q0, q1)
+        self.u1_minus = u1_of_rho(rho_minus, q0, q1)
+        self.u1_plus = u1_of_rho(rho_plus, q0, q1)
         self.state_minus = FluidState.from_rho_u1(eos, rho_minus, self.u1_minus)
         self.state_plus = FluidState.from_rho_u1(eos, rho_plus, self.u1_plus)
         self.speeds_minus = char_speeds(self.state_minus, eos)
@@ -171,20 +177,19 @@ def end_states(eos, q0, q1, cap=None):
     """Solve the jump conditions for (q0, q1); raises NoShock if none.
 
     Needs q0 > q1 > 0 and r = q0^2 - q1^2 strictly below the cap Q.
-    cap is (rho_star, Q) as q_max(eos, q1) returns it, computed here
-    when the caller does not pass it.  Roots are isolated by Brent's
-    method inside the guaranteed brackets (0, rho_star) and
+    cap is (rho_star, Q, rho_bar) as q_max(eos, q1) returns it,
+    computed here when the caller does not pass it.  Roots are isolated
+    by Brent's method inside the guaranteed brackets (0, rho_star) and
     (rho_star, rho_bar).
     """
     if q1 <= 0.0 or q0 <= q1:
         raise NoShock(f"need q0 > q1 > 0, got ({q0:g}, {q1:g})")
     r = q0 ** 2 - q1 ** 2
-    rho_star, q_cap = cap or q_max(eos, q1)
+    rho_star, q_cap, rb = cap or q_max(eos, q1)
     if not (0.0 < r < q_cap):
         raise NoShock(
             f"r = q0^2 - q1^2 = {r:g} outside (0, {q_cap:g}); "
             "no pair of end states")
-    rb = rho_bar(eos, q1)
 
     def f(rho):
         return g_eval(eos, q1, rho) - r
@@ -221,7 +226,7 @@ def shock_from_strength(eos, q1, strength):
 def _check_consistency(sd):
     # both end states must reproduce the prescribed fluxes
     for st in (sd.state_minus, sd.state_plus):
-        f0, f1 = fluid_core.flux(st, sd.eos)
+        f0, f1 = fluid_core.flux(st.theta, st.psi0, st.psi1, sd.eos)
         err = max(abs(f0 - sd.q0), abs(f1 - sd.q1)) / max(sd.q0, sd.q1)
         if err > TOL_JUMP:
             raise NoShock(f"end state fails the jump conditions, "

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 from .fluid_core import make_eos
 from .rankine_hugoniot import NoShock, shock_from_strength
 from .dissipation import make_model, CausalityError
-from .profile_dynamics import scalar_profile_ft, shoot_heteroclinic
+from .profile_dynamics import (_check_shared_eos, scalar_profile_ft,
+                               shoot_heteroclinic)
 from .rk45 import _default_settings
 
 NAN = float("nan")
@@ -70,8 +71,10 @@ def compute_profile(shock, model, **overrides):
     The viscous-only tensor reduces to a scalar ODE solved by
     quadrature; every other tensor is shot along the saddle
     separatrix.  overrides are solver settings (rtol, atol, tol_conn,
-    method); the CLI and every scan point come through here.
+    method); the CLI and every scan point come through here.  Raises
+    ValueError when the model is bound to another EOS than the shock.
     """
+    _check_shared_eos(shock, model)
     if model.tag == "ft-viscous":
         return scalar_profile_ft(shock, model.co, **overrides)
     return shoot_heteroclinic(shock, model, **overrides)

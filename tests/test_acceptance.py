@@ -393,7 +393,7 @@ def test_09_gradient_and_assembly_oracles():
     h = 1e-6
     for _ in range(100):
         st = _random_state(rng, RAD)
-        g = np.subtract(flux(st, RAD), [q0, q1])
+        g = np.subtract(flux(st.theta, st.psi0, st.psi1, RAD), [q0, q1])
         w = st.cov
         fd = np.zeros(2)
         for j in range(2):
@@ -415,7 +415,7 @@ def test_09_gradient_and_assembly_oracles():
     for shock, model in cases:
         for label, st in (("minus", shock.state_minus),
                           ("plus", shock.state_plus)):
-            rp = rest_point_classify(label, st, model, shock.eos)
+            rp = rest_point_classify(label, st, model)
             A = (rp.eigenvectors @ np.diag(rp.eigenvalues)
                  @ np.linalg.inv(rp.eigenvectors)).real
             w = st.cov

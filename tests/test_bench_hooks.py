@@ -8,6 +8,9 @@ other test.
 import os
 import sys
 
+import numpy as np
+import pytest
+
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "perfbench"))
 
 import tracing  # noqa: E402
@@ -69,6 +72,33 @@ def test_lsoda_shot_evaluates_patched_planar_rhs():
     assert calls >= res.n_steps - 1 > 0
 
 
+@pytest.mark.parametrize("tag, co, q1, kw", [
+    ("bdn", dict(eta=1.0, mu=4.0 / 3.0, nu=4.0), 1.0, {}),
+    ("ft-heat", dict(eta=1.0, chi=0.5), 3.0,
+     dict(method="LSODA", rtol=1e-9, atol=1e-11)),
+], ids=["RK45", "LSODA"])
+def test_planar_rhs_takes_its_flux_from_fluid_core(tag, co, q1, kw):
+    # the profile system has one F: every RHS span holds exactly one
+    # flux span, looked up through profile_dynamics.flux, and no other
+    eos = radiation_eos()
+    shock = shock_from_strength(eos, q1, 0.5)
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        res = profile_dynamics.shoot_heteroclinic(
+            shock, make_model(tag, eos, **co), **kw)
+    assert res.connected
+    c = tracer.columns()
+    rhs = np.flatnonzero(
+        c["name"] == c["names"].index("profile_dynamics.planar_rhs"))
+    is_flux = c["name"] == c["names"].index("fluid_core.flux")
+    has = c["parent"] >= 0
+    children = np.bincount(c["parent"][has], minlength=len(tracer))
+    flux_children = np.bincount(c["parent"][has & is_flux],
+                                minlength=len(tracer))
+    assert rhs.size >= res.n_steps - 1 > 0
+    assert np.all(children[rhs] == 1) and np.all(flux_children[rhs] == 1)
+
+
 def test_traced_scan_builds_eos_once():
     # one EOS per scan, not one per point
     tracer = tracing.Tracer()
@@ -93,6 +123,19 @@ def test_jump_check_evaluates_patched_flux():
     shocks = totals["rankine_hugoniot.shock_from_strength"][0]
     assert shocks == 3
     assert totals.get("fluid_core.flux", (0,))[0] == 2 * shocks
+
+
+def test_rho_bar_once_per_shock():
+    # q_max's cap carries rho_bar into the end-state solve
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        for eos in (radiation_eos(), parse_eos_expression(
+                "p(theta) = 1/3*theta^4 + 7/10*theta^3")):
+            for q1, s in ((0.5, 0.3), (3.0, 0.9)):
+                rankine_hugoniot.shock_from_strength(eos, q1, s)
+    totals = tracer.totals()
+    assert totals["rankine_hugoniot.shock_from_strength"][0] == 4
+    assert totals["rankine_hugoniot.rho_bar"][0] == 4
 
 
 def test_gnl_indicator_inverts_once_per_sample():

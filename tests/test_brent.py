@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq as scipy_brentq
 
-from shockscan import g_eval, parse_eos_expression, q_max, rho_bar, rk45
+from shockscan import g_eval, parse_eos_expression, q_max, rk45
 from shockscan.brent import brentq
 from shockscan.rankine_hugoniot import _BRENTQ_KW
 
@@ -42,8 +42,7 @@ def same_run(f, a, b, **kw):
 def test_jump_function_roots_match_scipy():
     n = 0
     for q1 in (0.3, 1.0, 3.0, 8.0):
-        rs, cap = q_max(POLY, q1)
-        rb = rho_bar(POLY, q1)
+        rs, cap, rb = q_max(POLY, q1)
         for s in np.linspace(0.02, 0.98, 12):
             r = (1.0 - s) * cap
 

@@ -12,6 +12,7 @@ from shockscan import (
     bdn_causality_class, ft_coefficients, make_eos, make_model, nu_bound,
     parse_eos_expression, planar_rhs, radiation_eos, shock_from_strength,
 )
+from shockscan.dissipation import eckart_entries
 
 # metric restricted to the t-x block; same matrix raises and lowers
 G2 = np.diag([-1.0, 1.0])
@@ -186,6 +187,13 @@ def test_coefficient_validation():
         BdnCoefficients(1.0, 0.0, 1.0)
     with pytest.raises(ValueError, match="eta, mu, nu must all be positive"):
         BdnCoefficients(-1.0, 1.0, 1.0)
+    # _make, and so _replace, build through the same checks
+    with pytest.raises(ValueError, match="eta must be positive, got -1"):
+        FtCoefficients(1.0)._replace(eta=-1.0)
+    with pytest.raises(ValueError, match="eta, mu, nu must all be positive"):
+        BdnCoefficients._make((1.0, 2.0, -2.0))
+    co = FtCoefficients(1.0)._replace(chi=0.5)
+    assert type(co) is FtCoefficients and co == (1.0, 0.0, 0.5)
 
 
 # ------------------------------------------------------- FT matrices
@@ -280,8 +288,13 @@ def test_velocity_gradient_fd():
 # ------------------------------------------------------- Eckart
 
 def test_eckart_rest_matrices():
-    M = make_model("eckart", RAD, eta=1.0).matrix(REST)
+    # without heat conduction the matrix has rank one, and the model is
+    # refused like ft-heat; the closed form itself still evaluates
+    M = np.reshape(eckart_entries(FtCoefficients(1.0))(*REST.theta_u()),
+                   (2, 2))
     assert np.allclose(M, np.diag([0.0, 4.0 / 3.0]), atol=1e-14)
+    with pytest.raises(ValueError, match="eckart needs chi > 0"):
+        make_model("eckart", RAD, eta=1.0)
     M = make_model("eckart", RAD, eta=1.0, chi=0.7).matrix(REST)
     assert np.allclose(M, np.diag([0.7, 4.0 / 3.0]), atol=1e-14)
 
@@ -301,7 +314,7 @@ def test_eckart_differs_from_ft_by_effective_viscosity():
         bulk = (zc - co.zeta) - (4.0 * co.eta / 3.0 + co.zeta) * u1 ** 2
         want = t * bulk * Pi
         diff = (DissipationModel("ft-viscous", co, RAD).matrix(st)
-                - DissipationModel("eckart", co, RAD).matrix(st))
+                - np.reshape(eckart_entries(co)(t, u0, u1), (2, 2)))
         assert np.abs(diff - want).max() <= 1e-12 * max(1.0,
                                                         np.abs(want).max())
 
@@ -350,11 +363,11 @@ def test_planar_rhs_matches_reference_solve(family):
 # ------------------------------------------------------- BDN
 
 def test_bdn_rest_matrices():
-    M = make_model("bdn", eta=1.0, mu=4.0 / 3.0, nu=2.0).matrix(REST)
+    M = make_model("bdn", RAD, eta=1.0, mu=4.0 / 3.0, nu=2.0).matrix(REST)
     assert np.allclose(M, np.diag([-2.0, 0.0]), atol=1e-14)
-    M = make_model("bdn", eta=1.0, mu=1.0, nu=1.0).matrix(REST)
+    M = make_model("bdn", RAD, eta=1.0, mu=1.0, nu=1.0).matrix(REST)
     assert np.allclose(M, np.diag([-1.0, 1.0 / 3.0]), atol=1e-14)
-    M = make_model("bdn", eta=1.0, mu=4.0 / 3.0, nu=4.0).matrix(REST)
+    M = make_model("bdn", RAD, eta=1.0, mu=4.0 / 3.0, nu=4.0).matrix(REST)
     assert np.allclose(M, np.diag([-4.0, 0.0]), atol=1e-14)
 
 
@@ -363,7 +376,8 @@ def test_bdn_against_full_tensor_oracle():
     for _ in range(100):
         st = random_state(rng)
         eta, mu, nu = rng.uniform(0.2, 3.0, size=3)
-        M = DissipationModel("bdn", BdnCoefficients(eta, mu, nu)).matrix(st)
+        M = DissipationModel("bdn", BdnCoefficients(eta, mu, nu),
+                             RAD).matrix(st)
         O = bdn_matrix_full_tensor(st, eta, mu, nu)
         assert np.abs(M - O).max() <= 1e-12 * max(1.0, np.abs(O).max())
 
@@ -447,7 +461,8 @@ def test_bdn_det_matches_closed_form():
     for _ in range(200):
         st = random_state(rng)
         eta, mu, nu = rng.uniform(0.2, 3.0, size=3)
-        M = DissipationModel("bdn", BdnCoefficients(eta, mu, nu)).matrix(st)
+        M = DissipationModel("bdn", BdnCoefficients(eta, mu, nu),
+                             RAD).matrix(st)
         want, scale = bdn_det_closed_form(st.theta * st.psi1, eta, mu, nu)
         assert abs(np.linalg.det(M) - want) <= 1e-9 * scale
 
@@ -489,8 +504,8 @@ def test_model_dispatch_and_describe():
     assert "ft-viscous" in m.describe()
     m = make_model("ft-heat", RAD, eta=1.0, chi=1.0)
     assert m.matrix(REST) == pytest.approx(np.diag([1.0, 5.0 / 3.0]))
-    m = make_model("eckart", RAD, eta=1.0)
-    assert m.matrix(REST) == pytest.approx(np.diag([0.0, 4.0 / 3.0]))
+    m = make_model("eckart", RAD, eta=1.0, chi=0.7)
+    assert m.matrix(REST) == pytest.approx(np.diag([0.7, 4.0 / 3.0]))
     m = make_model("bdn", RAD, eta=1.0, mu=4.0 / 3.0, nu=2.0)
     assert "strictly_causal" in m.describe()
 
@@ -518,8 +533,11 @@ def test_model_validation():
         DissipationModel("bdn", FtCoefficients(1.0), RAD)
     with pytest.raises(TypeError):
         DissipationModel("ft-heat", BdnCoefficients(1.0, 2.0, 2.0), RAD)
-    with pytest.raises(ValueError):
-        DissipationModel("ft-heat", FtCoefficients(1.0), None)
+    # every model is bound to an EOS
+    with pytest.raises(TypeError):
+        DissipationModel("ft-heat", FtCoefficients(1.0, chi=0.5))
+    with pytest.raises(TypeError):
+        make_model("bdn", eta=1.0, mu=2.0, nu=2.0)
 
 
 def test_bdn_requires_radiation():

@@ -398,7 +398,8 @@ def test_stress_hessian_certificate():
 def test_flux_column():
     eos = radiation_eos()
     st = FluidState(2.0, 0.5)
-    assert np.allclose(flux(st, eos), ideal_stress(st, eos)[:, 1])
+    assert np.allclose(flux(st.theta, st.psi0, st.psi1, eos),
+                       ideal_stress(st, eos)[:, 1])
 
 
 # ------------------------------------------------------- derived scalars

@@ -194,9 +194,11 @@ def test_bdn_acausal_no_saddle():
 # Each failure branch of shoot_heteroclinic, produced by a small input.
 
 def test_singular_matrix_at_a_rest_point():
-    # Eckart without heat conduction: M = e theta u0^2 Pi has rank one
+    # ft-viscous: M = sigma theta Pi has rank one.  compute_profile
+    # takes it to the scalar reduction; a shot meets the singular M at
+    # the rest points
     sd = shock_from_strength(RAD, 1.0, 0.5)
-    m = make_model("eckart", RAD, eta=1.0, zeta=1.0)
+    m = make_model("ft-viscous", RAD, eta=1.0, zeta=1.0)
     res = shoot_heteroclinic(sd, m)
     assert res.classification == "singular_matrix"
     assert res.reason.startswith("profile matrix singular at w = (")
@@ -250,8 +252,7 @@ def test_stall_diagnosis():
     sd = shock_from_strength(RAD, 1.0, 0.5)
     m = make_model("bdn", RAD, eta=1.0, mu=4.0 / 3.0, nu=2.0)
     amp = float(np.linalg.norm(sd.state_plus.cov - sd.state_minus.cov))
-    args = (m, RAD, np.array([sd.q0, sd.q1]), sd.rho_bar,
-            1e-10 * sd.rho_minus, amp)
+    args = (sd, m, 1e-10 * sd.rho_minus, amp)
     diagnose = profile_dynamics._diagnose_stall
     assert diagnose(np.array([-1.0, 1.0 - 1e-12]), 1.0, *args) == (
         "escaped_domain", "stalled at the light cone")
@@ -259,9 +260,36 @@ def test_stall_diagnosis():
     assert diagnose(at_bar, 1.0, *args) == (
         "escaped_domain", "stalled at the admissible density bound")
     mid = 0.5 * (sd.rho_minus + sd.rho_plus)
-    w = FluidState.from_rho_u1(RAD, mid, u1_of_rho(RAD, mid, sd.q0, sd.q1))
+    w = FluidState.from_rho_u1(RAD, mid, u1_of_rho(mid, sd.q0, sd.q1))
     assert diagnose(w.cov, 1.0, *args) == (
         "no_connection", "integrator stalled (step size underflow)")
+    # where M itself is singular, planar_rhs gives no tangent to probe
+    rank_one = make_model("ft-viscous", RAD, eta=1.0)
+    assert diagnose(w.cov, 1.0, sd, rank_one, *args[2:]) == (
+        "singular_matrix", "orbit ran into the singular locus of the "
+        "profile matrix (det M changes sign ahead)")
+
+
+def test_compute_profile_refuses_a_model_of_another_eos():
+    # a bdn model is bound to radiation; a power-law:5 shock is not its
+    # fluid, and mixing the two physics is refused, not answered
+    sd = shock_from_strength(MonomialEos(1, 5), 1.0, 0.3)
+    m = make_model("bdn", RAD, eta=1.0, mu=2.0, nu=2.0)
+    with pytest.raises(ValueError, match="model is bound to EOS "
+                                         "'radiation', the shock to EOS "
+                                         "'power-law:5'"):
+        compute_profile(sd, m)
+    # an equal EOS built apart is the same fluid
+    m = make_model("bdn", parse_eos_expression("p(theta) = 1/3*theta^4"),
+                   eta=1.0, mu=2.0, nu=2.0)
+    assert compute_profile(shock_from_strength(RAD, 1.0, 0.3), m).connected
+
+
+def test_shot_refuses_a_model_of_another_eos():
+    sd = shock_from_strength(MonomialEos(1, 5), 1.0, 0.3)
+    m = make_model("ft-heat", RAD, eta=1.0, chi=0.5)
+    with pytest.raises(ValueError, match="model is bound to EOS"):
+        shoot_heteroclinic(sd, m)
 
 
 def test_spiral_source_rest_point():
@@ -337,7 +365,7 @@ def test_scalar_width_none_without_crossing():
 
 def _ft_rho_prime(shock, co, rho):
     q0, q1 = shock.q0, shock.q1
-    u1 = u1_of_rho(RAD, rho, q0, q1)
+    u1 = u1_of_rho(rho, q0, q1)
     ph = RAD.p_hat(rho)
     sig = ft_coefficients(FluidState.from_rho_u1(RAD, rho, u1).theta,
                           RAD, co)
@@ -475,7 +503,7 @@ def test_rest_point_classify_rejects_degenerate_matrix(shock_rad):
     # chi = 0 FT matrix is sigma theta Pi, rank one: no phase portrait
     m = make_model("ft-viscous", RAD, eta=1.0)
     with pytest.raises(SingularMatrix):
-        rest_point_classify("minus", shock_rad.state_minus, m, RAD)
+        rest_point_classify("minus", shock_rad.state_minus, m)
 
 
 def mp_rest_eigenvalues(sympy, mpmath, state, eta, mu, nu):
@@ -509,7 +537,7 @@ def test_rest_point_eigenvalues_match_mpmath(s):
     mpmath = pytest.importorskip("mpmath")
     st = shock_from_strength(RAD, 1.0, s).state_minus
     model = make_model("bdn", RAD, eta=1.0, mu=30.0, nu=3.0)
-    got = sorted(rest_point_classify("minus", st, model, RAD).eigenvalues,
+    got = sorted(rest_point_classify("minus", st, model).eigenvalues,
                  key=lambda z: z.real)
     want = mp_rest_eigenvalues(sympy, mpmath, st, 1, 30, 3)
     for g, x in zip(got, want):
@@ -528,7 +556,7 @@ def test_lyapunov_gradient_is_flux_excess(shock_rad):
         t = rng.uniform(0.6, 1.8)
         u0 = 1.0 / np.sqrt(1.0 - v * v)
         st = FluidState(u0 / t, v * u0 / t)
-        g = np.subtract(flux(st, RAD), [q0, q1])
+        g = np.subtract(flux(st.theta, st.psi0, st.psi1, RAD), [q0, q1])
         w = st.cov
         fd = np.zeros(2)
         for j in range(2):

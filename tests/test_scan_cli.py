@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from shockscan import (make_eos, make_model, parse_eos_expression,
-                       rho_bar, run_scan, scan, shock_from_strength)
+                       profile_dynamics, rho_bar, run_scan, scan,
+                       shock_from_strength)
 from shockscan.fluid_core import linspace
 from shockscan.scan import ScanRecord
 from shockscan.cli import main
@@ -86,7 +87,7 @@ def test_scan_never_aborts_on_bad_points():
     assert res.records[1].reason
 
 
-def test_scan_records_refused_points():
+def test_scan_records_refused_points(monkeypatch):
     # ft-heat at chi = 10 has sigma = 2 - 10 theta / 3 < 0 across this
     # shock: the point is causality_error, named, with no profile
     res = run_scan("radiation", "ft-heat", {"eta": 1.0, "chi": 10.0},
@@ -97,9 +98,11 @@ def test_scan_records_refused_points():
                           "theta = 0.73566; the ft tensor is not "
                           "dissipative there")
     assert rec.n_steps == 0 and rec.width is None and rec.eig_minus == ""
-    # a singular matrix at a rest point leaves no rest-point report
-    res = run_scan("radiation", "eckart", {"eta": 1.0, "zeta": 1.0},
-                   [1.0], [0.5])
+    # a singular matrix at a rest point leaves no rest-point report;
+    # with TOL_DET raised past any ratio |det M| / ||M||, every M is
+    monkeypatch.setattr(profile_dynamics, "TOL_DET", 1e300)
+    res = run_scan("radiation", "eckart",
+                   {"eta": 1.0, "zeta": 1.0, "chi": 1.0}, [1.0], [0.5])
     (rec,) = res.records
     assert rec.classification == "singular_matrix"
     assert rec.eig_minus == rec.eig_plus == ""
