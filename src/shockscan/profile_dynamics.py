@@ -171,10 +171,11 @@ class ProfileResult:
     centered so that rho crosses the midpoint density at x = 0 (where
     it does), and width, None when rho does not reach both the 5% and
     the 95% level; failed ones carry the failure diagnostics instead.
+    L is evaluated from the samples w when first read.
     """
 
     def __init__(self, classification, shock, model, reason="",
-                 x=None, w=None, rho=None, u1=None, lyap=None,
+                 x=None, w=None, rho=None, u1=None,
                  rest_points=(), endpoint_errors=None, width=None,
                  n_steps=0, arclength=0.0, settings=None):
         self.classification = classification
@@ -185,13 +186,23 @@ class ProfileResult:
         self.w = w
         self.rho = rho
         self.u1 = u1
-        self.lyap = lyap
+        self._lyap = None
         self.rest_points = list(rest_points)
         self.endpoint_errors = endpoint_errors or {}
         self.width = width
         self.n_steps = n_steps
         self.arclength = arclength
         self.settings = dict(settings or {})
+
+    @property
+    def lyap(self):
+        """lyapunov_eval at every sample of w, or None without samples."""
+        if self._lyap is None and self.w is not None:
+            sd = self.shock
+            self._lyap = np.array([
+                lyapunov_eval(FluidState(-a, b), sd.eos, sd.q0, sd.q1)
+                for a, b in self.w.tolist()])
+        return self._lyap
 
     @property
     def connected(self):
@@ -201,12 +212,13 @@ class ProfileResult:
         if not self.connected or self.x is None:
             raise ValueError(
                 f"no samples to write for a {self.classification} result")
+        lyap = self.lyap
         with open(path, "w") as fh:
             fh.write("x,psi0,psi1,rho,u1,L\n")
             for i in range(len(self.x)):
                 fh.write("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n" % (
                     self.x[i], -self.w[i, 0], self.w[i, 1],
-                    self.rho[i], self.u1[i], self.lyap[i]))
+                    self.rho[i], self.u1[i], lyap[i]))
 
     def summary_dict(self):
         return {
@@ -286,7 +298,6 @@ def scalar_profile_ft(shock, co, **overrides):
     u1 = np.array([u1_of_rho(r, q0, q1) for r in rho])
     states = [FluidState.from_rho_u1(eos, r, u) for r, u in zip(rho, u1)]
     w = np.array([s.cov for s in states])
-    lyap = np.array([lyapunov_eval(s, eos, q0, q1) for s in states])
 
     # 1D linearizations at the rest densities: repelling at rho_minus,
     # attracting at rho_plus when the profile exists
@@ -306,7 +317,7 @@ def scalar_profile_ft(shock, co, **overrides):
            "right": float(abs(rho[-1] - rp)) / amp}
     return ProfileResult(
         "connected_monotone", shock, model,
-        x=xs, w=w, rho=rho, u1=u1, lyap=lyap, rest_points=reports,
+        x=xs, w=w, rho=rho, u1=u1, rest_points=reports,
         endpoint_errors=err,
         width=None if None in (lo, hi) else hi - lo,
         n_steps=len(xs), arclength=float(np.abs(np.diff(rho)).sum()),
@@ -460,8 +471,6 @@ def shoot_heteroclinic(shock, model, **overrides):
     cls = ("connected_oscillatory" if spiral or oscillation_detect(rho)
            else "connected_monotone")
     u1 = (w[:, 0] ** 2 - w[:, 1] ** 2) ** -0.5 * w[:, 1]
-    lyap = np.array([lyapunov_eval(FluidState(-a, b), eos, shock.q0,
-                                   shock.q1) for a, b in w.tolist()])
 
     # dw/dx is planar_rhs along x, whichever way the shot ran; x = 0 at
     # the midpoint density crossing, by translation invariance
@@ -475,7 +484,7 @@ def shoot_heteroclinic(shock, model, **overrides):
         "right": float(np.linalg.norm(w[-1] - shock.state_plus.cov)) / amp,
     }
     return ProfileResult(cls, shock, model, x=x, w=w,
-                         rho=rho, u1=u1, lyap=lyap, rest_points=reports,
+                         rho=rho, u1=u1, rest_points=reports,
                          endpoint_errors=err,
                          width=None if None in (lo, hi) else hi - lo,
                          n_steps=sol.t.size,

@@ -6,12 +6,21 @@ independent, so the scan parallelizes over processes; records are
 emitted in deterministic lexicographic (q1, strength) order regardless
 of worker count, and the CSV contains no timing so repeated runs are
 byte-identical.
+
+Pooled scans share one process pool, which lives as long as the
+interpreter: the first pooled scan starts it, and a later one replaces
+it only for another worker count or after a worker died.  Workers are
+forked, so they see module state as it was when the pool started; a
+change made after that, such as a monkeypatched tolerance, does not
+reach them.
 """
 
 import csv
 import json
+import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 from .fluid_core import make_eos
@@ -112,19 +121,47 @@ def _scan_point(eos, model, overrides, q1, strength):
     return rec
 
 
-# the EOS, model and solver settings of the scan a pool worker serves,
-# set once per worker by the executor's initializer
-_worker_scan = None
+# the pool that serves every pooled scan of this process and its
+# worker count; the first pooled scan creates it, and concurrent.futures
+# joins it at interpreter exit
+_pool = None
+_pool_workers = 0
+
+# in a pool worker: the pickled (eos, model, overrides) of the scan it
+# served last, and that context unpickled
+_context = None, None
 
 
-def _init_worker(eos, model, overrides):
-    global _worker_scan
-    _worker_scan = eos, model, overrides
+def _pooled_point(job):
+    """_scan_point in a pool worker, for job = (context, q1, strength)
+    with context the pickled (eos, model, overrides) of its scan, which
+    the worker unpickles once per scan; top level so it pickles."""
+    global _context
+    blob, q1, strength = job
+    if blob != _context[0]:
+        _context = blob, pickle.loads(blob)
+    return _scan_point(*_context[1], q1, strength)
 
 
-def _worker_point(q1_strength):
-    """_scan_point in a pool worker; top level so it pickles."""
-    return _scan_point(*_worker_scan, *q1_strength)
+def _pool_map(n, jobs):
+    """_pooled_point over jobs, in order, on the module's pool of n
+    workers.  A pool of another worker count is replaced; so is a pool
+    that lost a worker, and the scan then runs once more on the new
+    one."""
+    global _pool, _pool_workers
+    for retry in (False, True):
+        if _pool is not None and _pool_workers != n:
+            _pool.shutdown()
+            _pool = None
+        if _pool is None:
+            _pool, _pool_workers = ProcessPoolExecutor(max_workers=n), n
+        try:
+            return list(_pool.map(_pooled_point, jobs, chunksize=1))
+        except BrokenProcessPool:
+            _pool.shutdown()
+            _pool = None
+            if retry:
+                raise
 
 
 class ScanResult:
@@ -207,11 +244,14 @@ class ScanResult:
 def run_scan(eos_spec, model_tag, co, q1_values, strengths,
              workers=None, **overrides):
     """Classify every (q1, strength) grid point on `workers` processes
-    (None means 1).
+    (None means 1), and never on more processes than points.
 
-    The EOS and the model are built once, before any point; a pool
-    hands them to each worker once, through its initializer.  The grid
-    is traversed in lexicographic order and results keep that order
+    The EOS and the model are built once, before any point, so a
+    `file:` EOS is read once per scan, here.  A pooled scan pickles
+    them with the solver settings once and sends that context by value
+    with each point; a worker unpickles it once per scan.  The pool's
+    workers outlive the scan (see the module docstring).  The grid is
+    traversed in lexicographic order and results keep that order
     whatever the worker count.  A point that fails is recorded, never
     fatal; an invalid EOS, model or solver setting raises before any
     point runs.
@@ -220,22 +260,21 @@ def run_scan(eos_spec, model_tag, co, q1_values, strengths,
     grid = [(float(q1), float(s)) for q1 in q1_values for s in strengths]
     if not grid:
         raise ValueError("empty scan grid")
-    n = max(1, int(workers or 1))
+    n = min(max(1, int(workers or 1)), len(grid))
     t0 = time.perf_counter()
     # one EOS and model per scan: a file: EOS is read once, here, and
     # again by the next scan
     eos = make_eos(eos_spec)
     model = make_model(model_tag, eos, **co)
-    if n == 1 or len(grid) <= 1:
+    if n == 1:
         records = [_scan_point(eos, model, overrides, *p) for p in grid]
     else:
         if method != "RK45":
-            # import the scipy solvers once, here, so that the forked
-            # workers inherit them instead of each importing them again
+            # import the scipy solvers here, so that workers forked by
+            # this scan inherit them instead of each importing them
             import scipy.integrate  # noqa: F401
-        with ProcessPoolExecutor(max_workers=n, initializer=_init_worker,
-                                 initargs=(eos, model, overrides)) as ex:
-            records = list(ex.map(_worker_point, grid, chunksize=1))
+        blob = pickle.dumps((eos, model, overrides))
+        records = _pool_map(n, [(blob, *p) for p in grid])
     wall = time.perf_counter() - t0
     return ScanResult(eos_spec, model_tag, dict(co), q1_values, strengths,
                       records, wall)

@@ -1,10 +1,13 @@
 """Grid scans and the command-line interface."""
 
 import json
+import multiprocessing
 import os
 import pickle
+import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -166,16 +169,78 @@ def test_scan_threshold_upper_range():
 
 
 def test_scan_point_is_picklable_unit(monkeypatch):
-    # a pool worker receives the scan's EOS, model and settings once,
-    # through its initializer, then one (q1, strength) pair per point
+    # a pool worker receives each point as (context, q1, strength), with
+    # the context the scan's EOS, model and settings pickled once, and
+    # unpickles that context once per scan
     eos = make_eos("radiation")
     model = make_model("ft-viscous", eos, **FT)
-    monkeypatch.setattr(scan, "_worker_scan", None)
-    scan._init_worker(*pickle.loads(pickle.dumps((eos, model, {}))))
-    rec = pickle.loads(pickle.dumps(scan._worker_point))((3.0, 0.5))
+    monkeypatch.setattr(scan, "_context", (None, None))
+    blob = pickle.dumps((eos, model, {}))
+    point = pickle.loads(pickle.dumps(scan._pooled_point))
+    rec = point(pickle.loads(pickle.dumps((blob, 3.0, 0.5))))
     assert isinstance(rec, ScanRecord)
     assert rec.classification == "connected_monotone"
     assert rec == scan._scan_point(eos, model, {}, 3.0, 0.5)
+    context = scan._context[1]
+    assert point((blob, 3.0, 0.6)).strength == 0.6
+    assert scan._context[1] is context
+
+
+def pool_pids():
+    return sorted(p.pid for p in multiprocessing.active_children())
+
+
+def alive(pid):
+    """Whether pid names a process that has not exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def csv_bytes(res, path):
+    res.write_csv(path)
+    return path.read_bytes()
+
+
+def test_pooled_scans_share_one_pool(tmp_path):
+    # two pooled scans in a row run on the same workers, and each
+    # writes the serial scan.csv
+    serial = csv_bytes(small_scan(workers=1), tmp_path / "serial.csv")
+    first = csv_bytes(small_scan(workers=2), tmp_path / "first.csv")
+    pids = pool_pids()
+    second = csv_bytes(small_scan(workers=2), tmp_path / "second.csv")
+    assert len(pids) == 2 and pool_pids() == pids
+    assert first == second == serial
+
+
+def test_pool_replaced_for_another_worker_count(tmp_path):
+    serial = csv_bytes(small_scan(workers=1), tmp_path / "serial.csv")
+    small_scan(workers=2)
+    two = pool_pids()
+    assert csv_bytes(small_scan(workers=3), tmp_path / "three.csv") == serial
+    three = pool_pids()
+    assert len(two) == 2 and len(three) == 3
+    assert not set(two) & set(three)
+
+
+def test_pool_survives_a_killed_worker(tmp_path):
+    # a worker killed between two scans breaks the pool; the next
+    # pooled scan replaces it and completes
+    serial = csv_bytes(small_scan(workers=1), tmp_path / "serial.csv")
+    small_scan(workers=2)
+    pids = pool_pids()
+    os.kill(pids[0], signal.SIGKILL)
+    assert csv_bytes(small_scan(workers=2), tmp_path / "after.csv") == serial
+    assert len(pool_pids()) == 2 and pids[0] not in pool_pids()
+
+
+def test_pool_never_larger_than_the_grid():
+    res = run_scan("radiation", "ft-heat", {"eta": 1.0, "chi": 0.5}, [1.0],
+                   [0.3, 0.6], workers=8)
+    assert res.counts() == {"connected_monotone": 2}
+    assert len(pool_pids()) == 2
 
 
 def test_scan_reads_its_eos_once_per_scan(tmp_path):
@@ -300,6 +365,26 @@ def test_end_states_and_causality_import_no_numpy(tmp_path):
     assert out == {"import": [], "models": [], "rh": [], "causality": [],
                    "configparser": False, "codes": [0, 0, 0]}
     assert json.loads((tmp_path / "rh.json").read_text())["lax"] is True
+
+
+POOL_EXIT_PROBE = """
+import json, multiprocessing
+from shockscan import run_scan
+run_scan("radiation", "ft-viscous", {"eta": 1.0}, [1.0], [0.3, 0.6],
+         workers=2)
+print(json.dumps([p.pid for p in multiprocessing.active_children()]))
+"""
+
+
+def test_pool_workers_end_with_the_interpreter():
+    # a fresh interpreter runs a pooled scan and exits without shutting
+    # the pool down; its workers end with it
+    pids = _probe(POOL_EXIT_PROBE)
+    assert len(pids) == 2
+    deadline = time.monotonic() + 5.0
+    while any(map(alive, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(map(alive, pids))
 
 
 def test_scan_summary_file(tmp_path):
