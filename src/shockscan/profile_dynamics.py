@@ -289,9 +289,9 @@ def scalar_profile_ft(shock, co, **overrides):
 
     kw = dict(method=st["method"], rtol=st["rtol"], atol=st["atol"] * amp)
     fwd = rk45.integrate(rhs, X_MAX, [rho_mid],
-                         [lambda x, y: y[0] - cut_hi], **kw)
+                         lambda x, y: (y[0] - cut_hi,), **kw)
     bwd = rk45.integrate(rhs, -X_MAX, [rho_mid],
-                         [lambda x, y: y[0] - cut_lo], **kw)
+                         lambda x, y: (y[0] - cut_lo,), **kw)
     xs = np.concatenate([bwd.t[::-1], fwd.t[1:]])
     rho = np.concatenate([bwd.y[0, ::-1], fwd.y[0, 1:]])
 
@@ -407,26 +407,23 @@ def shoot_heteroclinic(shock, model, **overrides):
         d1 *= direction
         return d0, d1, math.hypot(d0, d1)
 
-    def ev_conn(x, y):
-        return math.hypot(y[0] - tgt0, y[1] - tgt1) - tol_conn
-
-    def ev_cone(x, y):
-        return -y[0] - abs(y[1]) - 1e-12
-
-    def ev_rho(x, y):
+    def events(x, y):
+        # (conn, cone, rho, arc): the far state's tol_conn ball, the
+        # light cone, the admissible densities and the arclength budget
         d = y[0] ** 2 - y[1] ** 2
         if d <= 0.0:
-            return -1.0
-        rho = eos.rho(d ** -0.5)
-        return min(rbar - rho, rho - rho_floor)
-
-    def ev_arc(x, y):
-        return y[2] - ARC_BUDGET * amp
+            rho_margin = -1.0
+        else:
+            rho = eos.rho(d ** -0.5)
+            rho_margin = min(rbar - rho, rho - rho_floor)
+        return (math.hypot(y[0] - tgt0, y[1] - tgt1) - tol_conn,
+                -y[0] - abs(y[1]) - 1e-12,
+                rho_margin,
+                y[2] - ARC_BUDGET * amp)
 
     y0 = np.array([src[0] + eps * v[0], src[1] + eps * v[1], 0.0])
     try:
-        sol = rk45.integrate(rhs, X_MAX, y0,
-                             [ev_conn, ev_cone, ev_rho, ev_arc],
+        sol = rk45.integrate(rhs, X_MAX, y0, events,
                              st["rtol"], st["atol"], method=st["method"])
     except SingularMatrix as exc:
         return ProfileResult("singular_matrix", shock, model,

@@ -2,10 +2,10 @@
 
 `integrate` runs dy/dt = fun(t, y) with events for every method a
 profile can use.  It takes accepted steps from a step source, evaluates
-the events on Python floats after each one and ends the run at the
-earliest root: every event ends the run, as a terminal event of
-scipy's `solve_ivp` does, without `solve_ivp`'s per-step array work.
-The Solution names the event that ended the run.
+the events, one function returning a tuple of floats, once per accepted
+step and ends the run at the earliest root: every event ends the run,
+as a terminal event of scipy's `solve_ivp` does, without `solve_ivp`'s
+per-step array work.  The Solution names the event that ended the run.
 
 RK45 steps come from the package's own Dormand-Prince 5(4) pair, the
 scheme of scipy's `RK45` step for step: the same tableau, initial step
@@ -15,13 +15,18 @@ sums.  Its states are lists of floats rather than arrays: for the two-
 and three-component profile systems numpy's per-call overhead on tiny
 vectors cost more than the arithmetic it carries out.
 
-Every other method steps a scipy `OdeSolver` directly (`solver.step()`,
-its dense output only when an event fires), and the run has the samples,
-status and event time that `solve_ivp` returns, bit for bit.  Only such
-a run imports `scipy.integrate`; events are located by the package's
-own `brentq`, so an RK45 run imports no scipy module.  numpy is imported
-when a run builds its sample arrays, so the solver settings below load
-without it.
+LSODA is built as scipy's `LSODA` (tolerance checks, first step,
+tcrit = t_bound) and then stepped through its ODEPACK integrator, the
+call `LSODA.step` makes without the `OdeSolver` layers around it.
+Every other method steps a scipy `OdeSolver` directly (`solver.step()`).
+Either way the dense output is built only when an event fires, and the
+run has the samples, status and event time that `solve_ivp` returns,
+bit for bit, but for one exception: where ODEPACK accepts a step to a
+state that is not finite, LSODA ends with status -1 at the last finite
+sample.  Only a scipy run imports `scipy.integrate`; events are located
+by the package's own `brentq`, so an RK45 run imports no scipy module.
+numpy is imported when a run builds its sample arrays, so the solver
+settings below load without it.
 """
 
 import functools
@@ -242,17 +247,61 @@ def _scipy_steps(solver):
         yield solver.t, solver.y.tolist(), ()
 
 
+def _lsoda_steps(solver, f):
+    """Accepted steps of a scipy LSODA solver, as (t, y as a list of
+    floats, (solver, t_old, t)), _lsoda_dense_output(*data) being the
+    interpolant over the step.
+
+    Each step is the call LSODA.step makes to the ODEPACK integrator,
+    itask 5 (one step, never past tcrit = t_bound), with the vector
+    field f(t, y as an array), without the OdeSolver layers around it:
+    the same steps and states, bit for bit.  Stops when the integrator
+    fails, and before the first state that is not finite: ODEPACK's
+    error test (the error norm > 1) passes a NaN, so unchecked a
+    poisoned step would be accepted and carried to t_bound.
+    """
+    integrator = solver._lsoda_solver._integrator
+    integrator.call_args[2] = 5
+    y, t, t_bound = solver._lsoda_solver._y, solver.t, solver.t_bound
+    while True:
+        t_old = t
+        y, t = integrator.run(f, _no_jacobian, y, t, t_bound, (), ())
+        if not integrator.success:
+            return
+        y_list = y.tolist()
+        if not all(map(math.isfinite, y_list)):
+            return
+        yield t, y_list, (solver, t_old, t)
+
+
+def _no_jacobian():
+    """The jac argument of an integrator run without a Jacobian."""
+
+
+def _lsoda_dense_output(solver, t_old, t):
+    """LSODA's interpolant over the step [t_old, t]: the solver's
+    dense_output, whose Nordsieck history is that of its last step."""
+    solver.t_old, solver.t = t_old, t
+    return solver.dense_output()
+
+
 def integrate(fun, t_bound, y0, events, rtol, atol, method="RK45"):
     """Integrate dy/dt = fun(t, y) from t = 0 toward t_bound (either
     sign) with one of METHODS.
 
     fun takes t and y as a list of floats and returns a sequence of
-    floats, whatever the method.  Every event g(t, y) ends the run:
-    after each accepted step the events whose sign changed (g <= 0 then
-    >= 0, or the reverse, as in solve_ivp) are located by brentq on the
-    step's dense output, and the earliest root along the direction of
-    integration ends the run as its last sample, the lower event index
-    winning a tie.  Returns a Solution.
+    floats, whatever the method.  events(t, y) returns a tuple of
+    floats, one per event, and is evaluated once per accepted sample.
+    Every event ends the run: after each accepted step the events whose
+    sign changed (g <= 0 then >= 0, or the reverse, as in solve_ivp) are
+    located by brentq on the step's dense output, and the earliest root
+    along the direction of integration ends the run as its last sample,
+    the lower event index winning a tie.  Returns a Solution.
+
+    For the scipy methods the samples, status and event time are those
+    of solve_ivp, bit for bit, with one exception: LSODA ends with
+    status -1 at the last finite sample where its error test would
+    accept a state that is not finite (see _lsoda_steps).
     """
     direction = 1.0 if t_bound > 0.0 else -1.0
     t = 0.0
@@ -264,31 +313,39 @@ def integrate(fun, t_bound, y0, events, rtol, atol, method="RK45"):
         interpolant = _dense_output
     else:
         import scipy.integrate
-        solver = getattr(scipy.integrate, method)(
-            lambda t, y: fun(t, y.tolist()), t, y0, t_bound,
-            rtol=rtol, atol=atol)
-        steps, interpolant = _scipy_steps(solver), solver.dense_output
+
+        def f(t, y):
+            return fun(t, y.tolist())
+        solver = getattr(scipy.integrate, method)(f, t, y0, t_bound,
+                                                  rtol=rtol, atol=atol)
+        if method == "LSODA":
+            steps = _lsoda_steps(solver, f)
+            interpolant = _lsoda_dense_output
+        else:
+            steps, interpolant = _scipy_steps(solver), solver.dense_output
     ts, ys = [t], [y]
     event = None
-    g = [ev(t, y) for ev in events]
+    g = events(t, y)
     status = -1
     for t_new, y, data in steps:
         t_old, t = t, t_new
         if direction * (t - t_bound) >= 0:
             status = 0
-        g_new = [ev(t, y) for ev in events]
-        active = [i for i, (a, b) in enumerate(zip(g, g_new))
-                  if (a <= 0 and b >= 0) or (a >= 0 and b <= 0)]
-        if active:
-            y_at = interpolant(*data)
-            roots = [brentq(lambda s, ev=events[i]: ev(s, y_at(s)),
-                            t_old, t, xtol=4 * EPS, rtol=4 * EPS)
-                     for i in active]
-            # earliest root along the direction of integration; the
-            # lower event index wins a tie
-            j = min(range(len(roots)), key=lambda j: direction * roots[j])
-            event = active[j]
-            t, y = roots[j], y_at(roots[j])
+        g_new = events(t, y)
+        root = None
+        for i, a in enumerate(g):
+            b = g_new[i]
+            if (a <= 0 and b >= 0) or (a >= 0 and b <= 0):
+                if root is None:
+                    y_at = interpolant(*data)
+                r = brentq(lambda s: events(s, y_at(s))[i],
+                           t_old, t, xtol=4 * EPS, rtol=4 * EPS)
+                # earliest root along the direction of integration; the
+                # lower event index wins a tie
+                if root is None or direction * r < direction * root:
+                    root, event = r, i
+        if root is not None:
+            t, y = root, y_at(root)
             status = 1
         g = g_new
         ts.append(t)

@@ -5,19 +5,20 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.integrate import RK45, quad, solve_ivp
+from scipy.integrate import LSODA, RK45, quad, solve_ivp
 from scipy.optimize import brentq
 from scipy.integrate._ivp.common import norm
 from scipy.integrate._ivp.rk import rk_step
 
 from shockscan import (
-    DomainError, FluidState, FtCoefficients, MonomialEos, SingularMatrix,
-    RestPointReport, compute_profile, flux, ft_coefficients, lyapunov_eval,
-    make_model, oscillation_detect, parse_eos_expression, planar_rhs,
-    profile_dynamics, radiation_eos, rest_point_classify, rk45,
-    scalar_profile_ft, shock_from_strength, shoot_heteroclinic,
+    BdnCoefficients, DomainError, FluidState, FtCoefficients, MonomialEos,
+    SingularMatrix, RestPointReport, compute_profile, flux, ft_coefficients,
+    lyapunov_eval, make_model, oscillation_detect, parse_eos_expression,
+    planar_rhs, profile_dynamics, radiation_eos, rest_point_classify, rk45,
+    run_scan, scalar_profile_ft, shock_from_strength, shoot_heteroclinic,
     stress_hessian, u1_of_rho,
 )
+from shockscan.dissipation import bdn_entries
 
 from test_dissipation import bdn_matrix_symbolic
 
@@ -168,6 +169,38 @@ def test_bdn_strong_shock_oscillatory():
     assert kinds["minus"] == "saddle"
     assert kinds["plus"] == "spiral-sink"
     assert not np.all(np.diff(res.rho) > 0.0)
+
+
+def _plus_discriminant(s, nu):
+    # tr^2 - 4 det of M^-1 H1 at the downstream rest point of BDN on
+    # the floor mu = 4 eta / 3 (eta = 1, q1 = 1): below 0 it is a spiral
+    st = shock_from_strength(RAD, 1.0, s).state_plus
+    M = bdn_entries(BdnCoefficients(1.0, 4.0 / 3.0, nu))(*st.theta_u())
+    _, k001, k011, k111 = stress_hessian(st, RAD)
+    A = np.linalg.solve(np.reshape(M, (2, 2)), [[k001, k011], [k011, k111]])
+    return np.trace(A) ** 2 - 4.0 * np.linalg.det(A)
+
+
+@pytest.mark.parametrize("nu, s_star", [
+    (1.0, 16.0 / 49.0), (2.0, 3.0 - 2.0 * math.sqrt(2.0)), (4.0, 4.0 / 49.0),
+], ids=["nu=1", "nu=2", "nu=4"])
+def test_bdn_floor_spiral_onset_closed_form(nu, s_star):
+    # the downstream rest point turns into a spiral at one strength, in
+    # closed form; the scan is monotone just below it, oscillatory above
+    grid = np.linspace(0.001, 0.999, 200).tolist()
+    d = [_plus_discriminant(s, nu) for s in grid]
+    roots = [brentq(_plus_discriminant, a, b, args=(nu,), xtol=1e-16,
+                    rtol=8.9e-16)
+             for a, b, da, db in zip(grid, grid[1:], d, d[1:])
+             if da * db <= 0.0]
+    assert len(roots) == 1
+    assert abs(roots[0] - s_star) < 1e-12
+    assert d[0] > 0.0 > d[-1]
+    res = run_scan("radiation", "bdn", {"eta": 1.0, "mu": 4.0 / 3.0,
+                                        "nu": nu},
+                   [1.0], [s_star - 0.01, s_star + 0.01])
+    assert [r.classification for r in res.records] == [
+        "connected_monotone", "connected_oscillatory"]
 
 
 def test_bdn_singular_locus_witness():
@@ -589,10 +622,22 @@ def test_oscillation_detect():
 # other method steps scipy's own solver
 
 def solve_ivp_oracle(fun, t_bound, y0, events, rtol, atol, method="RK45"):
-    """rk45.integrate's contract, run by solve_ivp; the events must be
-    terminal for solve_ivp to end the run on them."""
+    """rk45.integrate's contract, run by solve_ivp: the tuple events
+    returns split into one terminal event per component, so that
+    solve_ivp ends the run on each of them."""
+    def terminal(i):
+        def g(t, y):
+            return events(t, y)[i]
+        g.terminal = True
+        return g
+    n = len(events(0.0, y0))
     return solve_ivp(lambda t, y: fun(t, y.tolist()), (0.0, t_bound), y0,
-                     method=method, events=events, rtol=rtol, atol=atol)
+                     method=method, events=[terminal(i) for i in range(n)],
+                     rtol=rtol, atol=atol)
+
+
+def no_events(t, y):
+    return ()
 
 
 def fired(ref):
@@ -605,15 +650,9 @@ def fired(ref):
 
 def solve_ivp_integrate(fun, t_bound, y0, events, rtol, atol,
                         method="RK45"):
-    """solve_ivp_oracle as a drop-in rk45.integrate: every event made
-    terminal, the result a Solution."""
-    terminal = []
-    for ev in events:
-        def g(t, y, ev=ev):
-            return ev(t, y)
-        g.terminal = True
-        terminal.append(g)
-    ref = solve_ivp_oracle(fun, t_bound, y0, terminal, rtol, atol, method)
+    """solve_ivp_oracle as a drop-in rk45.integrate, the result a
+    Solution."""
+    ref = solve_ivp_oracle(fun, t_bound, y0, events, rtol, atol, method)
     return rk45.Solution(ref.t, ref.y, ref.status, fired(ref))
 
 
@@ -727,10 +766,9 @@ def test_rk45_rejects_nan_trial_step():
         return f
 
     def ev(t, y):
-        return y[0] - 0.999
-    ev.terminal = True
-    sol = rk45.integrate(fun, 10.0, [0.0], [ev], 1e-10, 1e-12)
-    ref = solve_ivp_oracle(_nan_past_one, 10.0, [0.0], [ev], 1e-10, 1e-12)
+        return (y[0] - 0.999,)
+    sol = rk45.integrate(fun, 10.0, [0.0], ev, 1e-10, 1e-12)
+    ref = solve_ivp_oracle(_nan_past_one, 10.0, [0.0], ev, 1e-10, 1e-12)
     # trial steps crossed y = 1 and were rejected and shrunk: every
     # accepted sample is finite and inside the domain
     assert poisoned
@@ -745,18 +783,32 @@ def test_rk45_rejects_nan_trial_step():
 
 def test_rk45_status_codes():
     # -1: the step size underflows just short of the poisoned region
-    sol = rk45.integrate(_nan_past_one, 10.0, [0.0], [], 1e-10, 1e-12)
-    ref = solve_ivp_oracle(_nan_past_one, 10.0, [0.0], [], 1e-10, 1e-12)
+    sol = rk45.integrate(_nan_past_one, 10.0, [0.0], no_events, 1e-10,
+                         1e-12)
+    ref = solve_ivp_oracle(_nan_past_one, 10.0, [0.0], no_events, 1e-10,
+                           1e-12)
     assert sol.status == ref.status == -1
     assert sol.t.size == ref.t.size
     assert 1.0 - 1e-12 < sol.y[0, -1] < 1.0
     # 0: a backward run reaches t_bound with no event
-    sol = rk45.integrate(lambda t, y: [-y[0]], -3.0, [1.0], [], 1e-10, 1e-12)
-    ref = solve_ivp_oracle(lambda t, y: [-y[0]], -3.0, [1.0], [], 1e-10,
-                           1e-12)
+    sol = rk45.integrate(lambda t, y: [-y[0]], -3.0, [1.0], no_events,
+                         1e-10, 1e-12)
+    ref = solve_ivp_oracle(lambda t, y: [-y[0]], -3.0, [1.0], no_events,
+                           1e-10, 1e-12)
     assert sol.status == ref.status == 0
     assert sol.t[-1] == -3.0 and sol.t.size == ref.t.size
     assert sol.y[0, -1] == pytest.approx(math.exp(3.0), rel=1e-8)
+
+
+def test_lsoda_ends_at_the_last_finite_state():
+    # ODEPACK's error test passes a NaN error estimate, so the step into
+    # the poisoned region is accepted; the run ends before that state,
+    # with status -1 as RK45's does, and no NaN reaches t_bound
+    sol = rk45.integrate(_nan_past_one, 10.0, [0.0], no_events, 1e-10,
+                         1e-12, method="LSODA")
+    assert sol.status == -1
+    assert sol.t.size > 1 and np.all(np.isfinite(sol.t))
+    assert np.all(np.isfinite(sol.y)) and np.all(sol.y < 1.0)
 
 
 @pytest.mark.parametrize("fun, y0, tol", [
@@ -766,25 +818,20 @@ def test_rk45_status_codes():
 ], ids=["from-zero", "hundred-h0", "curvature"])
 def test_rk45_initial_step_matches_scipy(fun, y0, tol):
     # each branch of the initial step selection
-    sol = rk45.integrate(fun, 1.0, [y0], [], *tol)
-    ref = solve_ivp_oracle(fun, 1.0, [y0], [], *tol)
+    sol = rk45.integrate(fun, 1.0, [y0], no_events, *tol)
+    ref = solve_ivp_oracle(fun, 1.0, [y0], no_events, *tol)
     assert sol.t[1] == pytest.approx(ref.t[1], rel=1e-15, abs=0.0)
 
 
 def _far_near(direction):
     # steps grow tenfold on a constant field, so one step crosses both
-    # levels; the later-listed event has the earlier root
-    def far(t, y):
-        return y[0] - 0.5 * direction
-    far.terminal = True
-
-    def near(t, y):
-        return y[0] - 0.4 * direction
-    near.terminal = True
+    # levels; the later-listed event (near) has the earlier root
+    def far_near(t, y):
+        return (y[0] - 0.5 * direction, y[0] - 0.4 * direction)
 
     def fun(t, y):
         return [1.0]
-    return fun, 10.0 * direction, [0.0], [far, near]
+    return fun, 10.0 * direction, [0.0], far_near
 
 
 def _shot_run(direction):
@@ -793,9 +840,8 @@ def _shot_run(direction):
     fun, y0 = _shot_fun(shock_from_strength(RAD, 3.0, 0.5))
 
     def arc(t, y):
-        return y[2] - 0.6
-    arc.terminal = True
-    return fun, 10.0 * direction, y0, [arc]
+        return (y[2] - 0.6,)
+    return fun, 10.0 * direction, y0, arc
 
 
 @pytest.mark.parametrize("direction", [1.0, -1.0])
@@ -831,3 +877,44 @@ def test_scipy_method_matches_solve_ivp_bit_for_bit(case, direction,
     assert sol.event == fired(ref)
     if sol.event is not None:
         assert sol.t[-1] == ref.t_events[sol.event][0]
+
+
+def test_lsoda_shot_steps_the_odepack_integrator(monkeypatch):
+    # an LSODA shot steps the ODEPACK integrator, never LSODA.step, and
+    # keeps solve_ivp's samples; its events function runs once per
+    # sample and once per evaluation of the root search
+    sd = shock_from_strength(RAD, 3.0, 0.5)
+    m = make_model("ft-heat", RAD, eta=1.0, chi=0.5)
+    kw = dict(method="LSODA", rtol=1e-9, atol=1e-11)
+    with monkeypatch.context() as mp:
+        mp.setattr(rk45, "integrate", solve_ivp_integrate)
+        want = shoot_heteroclinic(sd, m, **kw)
+
+    def refuse(self):
+        raise AssertionError("LSODA.step was called")
+    calls = {"events": 0, "root": 0}
+    runs = []
+    integrate, root_search = rk45.integrate, rk45.brentq
+
+    def counted_integrate(fun, t_bound, y0, events, *args, **kwargs):
+        def counted(t, y):
+            calls["events"] += 1
+            return events(t, y)
+        runs.append(integrate(fun, t_bound, y0, counted, *args, **kwargs))
+        return runs[-1]
+
+    def counted_brentq(f, a, b, **kwargs):
+        def g(x):
+            calls["root"] += 1
+            return f(x)
+        return root_search(g, a, b, **kwargs)
+    monkeypatch.setattr(LSODA, "step", refuse)
+    monkeypatch.setattr(rk45, "integrate", counted_integrate)
+    monkeypatch.setattr(rk45, "brentq", counted_brentq)
+    got = shoot_heteroclinic(sd, m, **kw)
+    assert got.connected and got.classification == want.classification
+    assert np.array_equal(got.x, want.x) and np.array_equal(got.w, want.w)
+    assert got.width == want.width
+    [sol] = runs
+    assert sol.event == 0 and calls["root"] > 0
+    assert calls["events"] == sol.t.size + calls["root"]
