@@ -34,7 +34,7 @@ from .fluid_core import EosError, linspace, make_eos
 from .rankine_hugoniot import NoShock, end_states, shock_from_strength
 from .dissipation import (CausalityError, BdnCoefficients, FtCoefficients,
                           bdn_causality_class, make_model)
-from .rk45 import SETTINGS, _default_settings
+from .rk45 import METHODS, SETTINGS, _default_settings
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -82,9 +82,9 @@ def build_parser():
             p.add_argument("--tol-conn", type=fracfloat, dest="tol_conn")
             p.add_argument("--tol-rtol", type=fracfloat, dest="rtol")
             p.add_argument("--tol-atol", type=fracfloat, dest="atol")
-            p.add_argument("--method",
-                           help="integrator: RK45 (default), RK23, DOP853, "
-                                "Radau, BDF or LSODA")
+            p.add_argument("--method", help="integrator: "
+                           f"{' or '.join(METHODS)} "
+                           f"(default {SETTINGS['method']})")
             p.add_argument("--gnuplot", action="store_true", default=None,
                            help="also write a gnuplot script")
 

@@ -1,11 +1,11 @@
-"""One event loop over Python floats for every integration method.
+"""One event loop over Python floats for the two integration methods.
 
-`integrate` runs dy/dt = fun(t, y) with events for every method a
-profile can use.  It takes accepted steps from a step source, evaluates
-the events, one function returning a tuple of floats, once per accepted
-step and ends the run at the earliest root: every event ends the run,
-as a terminal event of scipy's `solve_ivp` does, without `solve_ivp`'s
-per-step array work.  The Solution names the event that ended the run.
+`integrate` runs dy/dt = fun(t, y) with events under RK45 or LSODA.  It
+takes accepted steps from a step source, evaluates the events, one
+function returning a tuple of floats, once per accepted step and ends
+the run at the earliest root: every event ends the run, as a terminal
+event of scipy's `solve_ivp` does, without `solve_ivp`'s per-step array
+work.  The Solution names the event that ended the run.
 
 RK45 steps come from the package's own Dormand-Prince 5(4) pair, the
 scheme of scipy's `RK45` step for step: the same tableau, initial step
@@ -15,18 +15,17 @@ sums.  Its states are lists of floats rather than arrays: for the two-
 and three-component profile systems numpy's per-call overhead on tiny
 vectors cost more than the arithmetic it carries out.
 
-LSODA is built as scipy's `LSODA` (tolerance checks, first step,
-tcrit = t_bound) and then stepped through its ODEPACK integrator, the
-call `LSODA.step` makes without the `OdeSolver` layers around it.
-Every other method steps a scipy `OdeSolver` directly (`solver.step()`).
-Either way the dense output is built only when an event fires, and the
-run has the samples, status and event time that `solve_ivp` returns,
-bit for bit, but for one exception: where ODEPACK accepts a step to a
-state that is not finite, LSODA ends with status -1 at the last finite
-sample.  Only a scipy run imports `scipy.integrate`; events are located
-by the package's own `brentq`, so an RK45 run imports no scipy module.
-numpy is imported when a run builds its sample arrays, so the solver
-settings below load without it.
+LSODA, for stiff systems, is built as scipy's `LSODA` (tolerance
+checks, first step, tcrit = t_bound) and then stepped through its
+ODEPACK integrator, the call `LSODA.step` makes without the `OdeSolver`
+layers around it.  Its dense output is built only when an event fires,
+and the run has the samples, status and event time that `solve_ivp`
+returns, bit for bit, but for one exception: where ODEPACK accepts a
+step to a state that is not finite, LSODA ends with status -1 at the
+last finite sample.  Only an LSODA run imports `scipy.integrate`;
+events are located by the package's own `brentq`, so an RK45 run
+imports no scipy module.  numpy is imported when a run builds its
+sample arrays, so the solver settings below load without it.
 """
 
 import functools
@@ -36,9 +35,9 @@ from collections import namedtuple
 
 from .brent import brentq
 
-# every method integrate runs: RK45 is the float stepper below, every
-# other one the scipy.integrate solver class of that name
-METHODS = ("RK45", "RK23", "DOP853", "Radau", "BDF", "LSODA")
+# every method integrate runs: RK45 is the float stepper below, LSODA
+# scipy.integrate's solver of that name
+METHODS = ("RK45", "LSODA")
 
 # the profile solver settings a caller may set, with their defaults
 SETTINGS = {"rtol": 1e-10, "atol": 1e-12, "tol_conn": 1e-6, "method": "RK45"}
@@ -100,8 +99,9 @@ Solution = namedtuple("Solution", "t y status event")
 Solution.__doc__ = """What integrate returns, whatever the method:
 samples t (shape (N,)) and y (shape (n, N)), status 0 (reached
 t_bound), 1 (an event ended the run) or -1 (the step size underflowed,
-or the scipy solver failed), and event, the index of the event that
-ended the run (its root is the last sample t[-1]) or None."""
+or LSODA failed or met a state that is not finite), and event, the
+index of the event that ended the run (its root is the last sample
+t[-1]) or None."""
 
 
 def _rms(v):
@@ -236,17 +236,6 @@ def _dormand_prince(fun, t_bound, y, rtol, atol):
         t, y, f = t_new, y_new, f_new
 
 
-def _scipy_steps(solver):
-    """Accepted steps of a scipy OdeSolver, as (t, y as a list of
-    floats, ()), solver.dense_output() being the interpolant over the
-    step; stops when the solver fails or has reached its t_bound."""
-    while solver.status == "running":
-        solver.step()
-        if solver.status == "failed":
-            return
-        yield solver.t, solver.y.tolist(), ()
-
-
 def _lsoda_steps(solver, f):
     """Accepted steps of a scipy LSODA solver, as (t, y as a list of
     floats, (solver, t_old, t)), _lsoda_dense_output(*data) being the
@@ -287,7 +276,7 @@ def _lsoda_dense_output(solver, t_old, t):
 
 def integrate(fun, t_bound, y0, events, rtol, atol, method="RK45"):
     """Integrate dy/dt = fun(t, y) from t = 0 toward t_bound (either
-    sign) with one of METHODS.
+    sign) with RK45 or LSODA.
 
     fun takes t and y as a list of floats and returns a sequence of
     floats, whatever the method.  events(t, y) returns a tuple of
@@ -298,8 +287,8 @@ def integrate(fun, t_bound, y0, events, rtol, atol, method="RK45"):
     along the direction of integration ends the run as its last sample,
     the lower event index winning a tie.  Returns a Solution.
 
-    For the scipy methods the samples, status and event time are those
-    of solve_ivp, bit for bit, with one exception: LSODA ends with
+    Under LSODA the samples, status and event time are those of
+    solve_ivp, bit for bit, with one exception: the run ends with
     status -1 at the last finite sample where its error test would
     accept a state that is not finite (see _lsoda_steps).
     """
@@ -311,18 +300,16 @@ def integrate(fun, t_bound, y0, events, rtol, atol, method="RK45"):
     if method == "RK45":
         steps = _dormand_prince(fun, t_bound, y, rtol, atol)
         interpolant = _dense_output
-    else:
-        import scipy.integrate
+    elif method == "LSODA":
+        from scipy.integrate import LSODA
 
         def f(t, y):
             return fun(t, y.tolist())
-        solver = getattr(scipy.integrate, method)(f, t, y0, t_bound,
-                                                  rtol=rtol, atol=atol)
-        if method == "LSODA":
-            steps = _lsoda_steps(solver, f)
-            interpolant = _lsoda_dense_output
-        else:
-            steps, interpolant = _scipy_steps(solver), solver.dense_output
+        solver = LSODA(f, t, y0, t_bound, rtol=rtol, atol=atol)
+        steps = _lsoda_steps(solver, f)
+        interpolant = _lsoda_dense_output
+    else:
+        raise ValueError(f"unknown integrator {method!r}")
     ts, ys = [t], [y]
     event = None
     g = events(t, y)

@@ -269,9 +269,9 @@ def run_scan(eos_spec, model_tag, co, q1_values, strengths,
     if n == 1:
         records = [_scan_point(eos, model, overrides, *p) for p in grid]
     else:
-        if method != "RK45":
-            # import the scipy solvers here, so that workers forked by
-            # this scan inherit them instead of each importing them
+        if method == "LSODA":
+            # import scipy's LSODA here, so that workers forked by this
+            # scan inherit it instead of each importing it
             import scipy.integrate  # noqa: F401
         blob = pickle.dumps((eos, model, overrides))
         records = _pool_map(n, [(blob, *p) for p in grid])

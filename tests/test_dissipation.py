@@ -11,8 +11,9 @@ from shockscan import (
     FluidState, FtCoefficients, MonomialEos, PolynomialEos, SingularMatrix,
     bdn_causality_class, ft_coefficients, make_eos, make_model, nu_bound,
     parse_eos_expression, planar_rhs, radiation_eos, shock_from_strength,
+    stress_hessian,
 )
-from shockscan.dissipation import eckart_entries
+from shockscan.dissipation import bdn_entries, eckart_entries
 
 # metric restricted to the t-x block; same matrix raises and lowers
 G2 = np.diag([-1.0, 1.0])
@@ -454,6 +455,81 @@ def test_bdn_det_certificate_sharp_bound():
     bound = 9 * eta * mu / (3 * mu - eta)
     assert sympy.simplify(A.subs(nu, bound)) == 0
     assert sympy.simplify(A - 4 * (3 * mu - eta) * (bound - nu)) == 0
+
+
+def test_bdn_floor_spiral_onset_certificate():
+    # on radiation at q1 = 1 the downstream state is rational in
+    # sigma = sqrt(s); on the floor mu = 4 eta / 3 (eta = 1) the sign of
+    # tr^2 - 4 det of M^-1 H1, which is tr(adj M H1)^2 - 4 det M det H1
+    # over det M^2, changes once in (0, 1), where the rest point turns
+    # from a node into a spiral
+    sympy = pytest.importorskip("sympy")
+    rho, sigma = sympy.symbols("rho sigma", positive=True)
+    s = sigma ** 2
+    # g = r with p = rho / 3: g peaks at rho_star = q1 = 1 with Q = 1/3
+    g = -rho * rho / 3 + (rho - rho / 3)
+    Q = g.subs(rho, 1)
+    assert sympy.diff(g, rho).subs(rho, 1) == 0 and Q == sympy.Rational(1, 3)
+    roots = sympy.solve(g - (1 - s) * Q, rho)
+    assert set(roots) == {1 - sigma, 1 + sigma}
+    rho_plus = 1 + sigma
+    # u1_of_rho with q0^2 = q1^2 + r
+    q0_sq = 1 + (1 - s) * Q
+    u1_sq = sympy.factor(1 / ((rho_plus + 1) ** 2 / q0_sq - 1))
+    assert sympy.simplify(u1_sq - (2 - sigma) / (4 * (1 + sigma))) == 0
+    u0_sq = sympy.factor(1 + u1_sq)
+    assert sympy.simplify(u0_sq - 3 * (2 + sigma) / (4 * (1 + sigma))) == 0
+    for strength in (0.05, 0.3, 0.9):
+        sd = shock_from_strength(RAD, 1.0, strength)
+        at = {sigma: strength ** 0.5}
+        assert sd.rho_plus == pytest.approx(float(rho_plus.subs(at)),
+                                            rel=1e-14)
+        assert sd.u1_plus ** 2 == pytest.approx(float(u1_sq.subs(at)),
+                                                rel=1e-13)
+    u0, u1 = sympy.sqrt(u0_sq), sympy.sqrt(u1_sq)
+    # H1 / theta^5 from stress_hessian: p' = 4/3 theta^3,
+    # theta p'' = 4 theta^3, a = 3 p' + theta p'' = 8 theta^3
+    p1, p2, au2 = sympy.Rational(4, 3), 4, 8 * u1_sq
+    H1 = sympy.Matrix([[u1 * (2 * p1 + p2 + au2), u0 * (p1 + au2)],
+                       [u0 * (p1 + au2), u1 * (3 * p1 + au2)]])
+    sample = shock_from_strength(RAD, 1.0, 0.3).state_plus
+    t = sample.theta
+    at = {sigma: 0.3 ** 0.5}
+    _, k001, k011, k111 = stress_hessian(sample, RAD)
+    assert np.allclose(np.array(H1.subs(at), dtype=float) * t ** 5,
+                       [[k001, k011], [k011, k111]], rtol=1e-13, atol=0.0)
+    mu = sympy.Rational(4, 3)
+    want = {
+        1: (sympy.Rational(4, 7),
+            (sigma - 2) * (sigma + 4) * (7 * sigma - 4)),
+        2: (sympy.sqrt(2) - 1,
+            16 * (sigma - 2) * (sigma ** 2 + 2 * sigma - 1)),
+        4: (sympy.Rational(2, 7),
+            4 * (sigma - 2) * (sigma + 2) * (7 * sigma - 2)),
+    }
+    for nu, (onset, factored) in want.items():
+        # bdn_entries with eta = 1
+        e = sympy.Rational(4, 3) * u0 ** 2
+        w0, w1 = 4 * u0 * u1, u0 ** 2 + 3 * u1 ** 2
+        a0, a1 = u0 ** 2 + u1 ** 2, 2 * u0 * u1
+        m01 = e * u1 * u0 - mu * w0 * w1 - nu * a0 * a1
+        M = sympy.Matrix([[e * u1 * u1 - mu * w0 * w0 - nu * a0 * a0, m01],
+                          [m01, e * u0 * u0 - mu * w1 * w1 - nu * a1 * a1]])
+        got = bdn_entries(BdnCoefficients(1.0, 4.0 / 3.0, nu))(
+            *sample.theta_u())
+        assert np.allclose(np.array(M.subs(at), dtype=float).ravel(), got,
+                           rtol=1e-13, atol=0.0)
+        disc = ((M.adjugate() * H1).trace() ** 2
+                - 4 * M.det() * H1.det())
+        num, den = sympy.fraction(sympy.factor(sympy.together(disc)))
+        assert sympy.expand(num - factored) == 0
+        assert sympy.expand(den - (sigma + 1) ** 3) == 0
+        inside = [r for r in sympy.Poly(num, sigma).real_roots()
+                  if 0 < r < 1]
+        assert inside == [onset]
+        assert num.subs(sigma, 0) > 0 > num.subs(sigma, 1)
+    assert [sympy.expand(r ** 2) for r, _ in want.values()] == [
+        sympy.Rational(16, 49), 3 - 2 * sympy.sqrt(2), sympy.Rational(4, 49)]
 
 
 def test_bdn_det_matches_closed_form():
