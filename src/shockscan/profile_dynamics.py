@@ -26,22 +26,20 @@ import numpy as np
 from . import rk45
 from .brent import brentq
 from .rk45 import _default_settings
-from .fluid_core import DomainError, FluidState, stress_hessian, flux
+from .fluid_core import FluidState, stress_hessian, flux
 from .rankine_hugoniot import u1_of_rho
 from .dissipation import DissipationModel, ft_coefficients
 
 
 class SingularMatrix(RuntimeError):
-    """det M dropped below tolerance along an orbit.
-
-    Carries the offending covariant state and the arclength already
-    travelled so callers can report where the profile died.
+    """det M below TOL_DET ||M|| at a rest point, where the profile
+    system has no linearization; carries the covariant state w and
+    |det M| as detval.  Along an orbit planar_rhs returns NaN instead.
     """
 
-    def __init__(self, w, detval, arclength):
+    def __init__(self, w, detval):
         self.w = np.array(w)
         self.detval = float(detval)
-        self.arclength = float(arclength)
         super().__init__(
             f"profile matrix singular at w = ({w[0]:.6g}, {w[1]:.6g}), "
             f"|det M| = {detval:.3e}")
@@ -51,10 +49,8 @@ class SingularMatrix(RuntimeError):
 # of the end-state distance, and the x horizon of every integration.
 ARC_BUDGET = 1e4
 X_MAX = 1e9
-# M counts as singular when |det M| < TOL_DET ||M||; a rest state is a
-# spiral when an eigenvalue has |Im| > TOL_OSC |lambda|
+# M counts as singular when |det M| < TOL_DET ||M||
 TOL_DET = 1e-10
-TOL_OSC = 1e-6
 TOL_MONO = 1e-9     # oscillation_detect's slack, per max(1, |rho|)
 TOL_REST = 1e-9     # _classify's zero, per the largest |lambda|
 
@@ -72,15 +68,15 @@ def planar_rhs(w, shock, model):
     a pair of floats.  Only w[0] and w[1] are read, so the shot passes
     its state with the arclength appended as it is.
 
-    Raises DomainError outside psi0 > |psi1| and SingularMatrix when
-    det M falls below TOL_DET * ||M||; the shooting solver relies on
-    the latter escaping through the integrator.  theta and u are those
-    of FluidState, written out in the same order of operations, and F
-    is fluid_core.flux less q; the 2x2 system is solved by Cramer's rule.
+    (nan, nan) where the field is undefined, outside psi0 > |psi1| and
+    where det M < TOL_DET * ||M||, so no integrator step lands there.
+    theta and u are those of FluidState, written out in the same order
+    of operations, and F is fluid_core.flux less q; the 2x2 system is
+    solved by Cramer's rule.
     """
     psi0, psi1 = -w[0], w[1]
     if not psi0 > abs(psi1):
-        raise DomainError(f"state ({psi0:g}, {psi1:g}) outside psi0 > |psi1|")
+        return math.nan, math.nan
     t = (psi0 ** 2 - psi1 ** 2) ** -0.5
     f0, f1 = flux(t, psi0, psi1, shock.eos)
     f0 -= shock.q0
@@ -88,7 +84,7 @@ def planar_rhs(w, shock, model):
     m00, m01, m10, m11 = m = model.entries(t, t * psi0, t * psi1)
     det, singular = _det(m)
     if singular:
-        raise SingularMatrix((w[0], w[1]), abs(det), 0.0)
+        return math.nan, math.nan
     return (m11 * f0 - m01 * f1) / det, (m00 * f1 - m10 * f0) / det
 
 
@@ -157,7 +153,7 @@ def rest_point_classify(label, state, model):
     M = model.matrix(state)
     det, singular = _det(M.ravel().tolist())
     if singular:
-        raise SingularMatrix(state.cov, abs(det), 0.0)
+        raise SingularMatrix(state.cov, abs(det))
     _, k001, k011, k111 = stress_hessian(state, model.eos)
     H1 = [[k001, k011], [k011, k111]]
     lam, vec = np.linalg.eig(np.linalg.solve(M, H1))
@@ -342,12 +338,15 @@ def shoot_heteroclinic(shock, model, **overrides):
     result is an immediate no_connection.  Terminal outcomes:
 
       * entering the tol_conn ball of the far state  -> connected
-      * leaving the physical domain                  -> escaped_domain
-      * det M(psi) below TOL_DET ||M|| on the orbit  -> singular_matrix
+      * leaving 0 < rho < rho_bar                    -> escaped_domain
       * arclength budget or x horizon exhausted      -> no_connection
+      * stalling short of every event                -> _diagnose_stall
 
-    A connected orbit is oscillatory when the target is a spiral or
-    the density samples are not monotone, and carries no reason.
+    The light cone and the singular locus, where planar_rhs is NaN, end
+    an orbit only by a stall.  A failed orbit reports its accepted steps
+    and arclength.  A connected orbit is oscillatory when the target is
+    a spiral or the density samples are not monotone, and carries no
+    reason.  A singular M at a rest state is singular_matrix at once.
     Raises ValueError when the model is bound to another EOS than the
     shock.
     """
@@ -391,25 +390,20 @@ def shoot_heteroclinic(shock, model, **overrides):
     tol_conn = st["tol_conn"] * amp
 
     tgt0, tgt1 = float(tgt[0]), float(tgt[1])
-    nan3 = (math.nan,) * 3
 
     def rhs(x, y):
-        if not -y[0] > abs(y[1]):
-            # trial step outside the state space: poison the step so
-            # the controller shrinks it, the cone event ends the orbit
-            return nan3
-        try:
-            d0, d1 = planar_rhs(y, shock, model)
-        except SingularMatrix as exc:
-            exc.arclength = y[2]
-            raise
+        d0, d1 = planar_rhs(y, shock, model)
         d0 *= direction
         d1 *= direction
         return d0, d1, math.hypot(d0, d1)
 
     def events(x, y):
-        # (conn, cone, rho, arc): the far state's tol_conn ball, the
-        # light cone, the admissible densities and the arclength budget
+        # (conn, rho, arc): the far state's tol_conn ball, the
+        # admissible densities and the arclength budget.  Below rho_bar
+        # psi0 - |psi1| = theta^-2 / (psi0 + |psi1|), so an orbit comes
+        # within 1e-12 of the light cone only past psi0 + |psi1| =
+        # 1e12 / theta_bar^2 (5.8e11 for radiation at q1 = 1), far
+        # beyond the arclength budget: no event watches the cone
         d = y[0] ** 2 - y[1] ** 2
         if d <= 0.0:
             rho_margin = -1.0
@@ -417,22 +411,16 @@ def shoot_heteroclinic(shock, model, **overrides):
             rho = eos.rho(d ** -0.5)
             rho_margin = min(rbar - rho, rho - rho_floor)
         return (math.hypot(y[0] - tgt0, y[1] - tgt1) - tol_conn,
-                -y[0] - abs(y[1]) - 1e-12,
                 rho_margin,
                 y[2] - ARC_BUDGET * amp)
 
     y0 = np.array([src[0] + eps * v[0], src[1] + eps * v[1], 0.0])
-    try:
-        sol = rk45.integrate(rhs, X_MAX, y0, events,
-                             st["rtol"], st["atol"], method=st["method"])
-    except SingularMatrix as exc:
-        return ProfileResult("singular_matrix", shock, model,
-                             reason=str(exc), rest_points=reports,
-                             arclength=exc.arclength, settings=st)
+    sol = rk45.integrate(rhs, X_MAX, y0, events,
+                         st["rtol"], st["atol"], method=st["method"])
 
     # the event that ended the orbit, by name; None when none did
     ended = (None if sol.event is None
-             else ("conn", "cone", "rho", "arc")[sol.event])
+             else ("conn", "rho", "arc")[sol.event])
     arclen = float(sol.y[2, -1]) if sol.y.shape[1] else 0.0
 
     def failed(cls, why):
@@ -441,12 +429,12 @@ def shoot_heteroclinic(shock, model, **overrides):
                              arclength=arclen, settings=st)
 
     if sol.status < 0:
-        # step size underflow: the integrator ground to a halt without
-        # reaching any event.  Find out what it ran into.
+        # RK45's step size underflowed, or LSODA ended at its last
+        # finite state, without reaching any event: find out why
         return failed(*_diagnose_stall(sol.y[:2, -1], direction, shock,
                                        model, rho_floor, amp))
 
-    if ended in ("cone", "rho"):
+    if ended == "rho":
         return failed("escaped_domain", "orbit left the physical domain")
     if ended != "conn":
         return failed("no_connection",
@@ -463,8 +451,7 @@ def shoot_heteroclinic(shock, model, **overrides):
         return eos.rho((y[0] * y[0] - y[1] * y[1]) ** -0.5)
 
     rho = np.array([density(y) for y in w.tolist()])
-    lam = tgt_rp.eigenvalues
-    spiral = bool(np.any(np.abs(lam.imag) > TOL_OSC * np.abs(lam)))
+    spiral = tgt_rp.kind.startswith("spiral")
     cls = ("connected_oscillatory" if spiral or oscillation_detect(rho)
            else "connected_monotone")
     u1 = (w[:, 0] ** 2 - w[:, 1] ** 2) ** -0.5 * w[:, 1]
@@ -489,15 +476,14 @@ def shoot_heteroclinic(shock, model, **overrides):
 
 
 def _diagnose_stall(w, direction, shock, model, rho_floor, amp):
-    """Post-mortem for a step-size underflow.
+    """Post-mortem for a run that stalled at w without an event.
 
-    The integrator cannot cross the singular locus of M or the domain
-    boundary: the derivative blows up and the step control underflows
-    just short of it, so no event fires.  Probe a short ray along the
-    orbit tangent, planar_rhs, where M is regular: a sign change (or
-    collapse) of det M ahead certifies the singular locus; proximity to
-    the light cone or to the admissible density interval certifies a
-    domain escape.
+    No step lands where planar_rhs is NaN or blows up: RK45's step size
+    underflows short of it, and LSODA ends at its last finite state.
+    Proximity to the light cone or to the admissible density interval
+    certifies a domain escape.  A NaN tangent, planar_rhs at w, certifies
+    the singular locus; so does a sign change (or collapse) of det M
+    ahead, on a short ray along the tangent.
     """
     psi0, psi1 = -w[0], w[1]
     scale = abs(psi0) + abs(psi1)
@@ -509,9 +495,8 @@ def _diagnose_stall(w, direction, shock, model, rho_floor, amp):
         return "escaped_domain", "stalled at the admissible density bound"
     singular_locus = ("singular_matrix", "orbit ran into the singular locus "
                       "of the profile matrix (det M changes sign ahead)")
-    try:
-        tangent = direction * np.array(planar_rhs(w, shock, model))
-    except SingularMatrix:
+    tangent = direction * np.array(planar_rhs(w, shock, model))
+    if np.isnan(tangent).any():
         return singular_locus
     d0, _ = _det(model.entries(*state.theta_u()))
     nt = math.hypot(*tangent)

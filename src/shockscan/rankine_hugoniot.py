@@ -24,7 +24,7 @@ import warnings
 
 from .brent import brentq
 from . import fluid_core
-from .fluid_core import FluidState, gnl_indicator, linspace
+from .fluid_core import EosError, FluidState, gnl_indicator, linspace
 
 _BRENTQ_KW = dict(xtol=1e-300, rtol=8.9e-16, maxiter=200)
 TOL_JUMP = 1e-8     # relative flux error allowed at an end state
@@ -63,34 +63,37 @@ def q_max(eos, q1):
 
     Warns when the acoustic mode loses genuine nonlinearity somewhere
     on (0, rho_bar); g is then not guaranteed unimodal and the root
-    bracketing below may be incomplete.
+    bracketing below may be incomplete.  Outside the EOS range: NoShock.
     """
-    rb = rho_bar(eos, q1)
-    gnl = [gnl_indicator(eos, rho) for rho in linspace(rb * 1e-6, rb, 64)]
-    if min(gnl) <= 0.0:
-        warnings.warn(
-            "genuine nonlinearity fails inside (0, rho_bar); "
-            "the jump function may not be unimodal", RuntimeWarning)
     try:
-        k = float(eos.k)
-        rs = q1 * (k - 2.0) / 2.0 if k > 2.0 else None
-    except AttributeError:
-        rs = None
-    if rs is None or not (0.0 < rs < rb):
-        # dg/drho(0+) > 0 > dg/drho(rho_bar) for a subluminal EOS, so
-        # the bracket is guaranteed; a sound speed at or above light
-        # kills the initial rise and g has no interior maximum
-        def dg(rho):
-            t = eos.theta_of_rho(rho)
-            c2 = eos.cs2(t)
-            return -eos.p(t) - rho * c2 + q1 * (1.0 - c2)
-        lo = rb * 1e-12
-        if not (dg(lo) > 0.0 > dg(rb)):
-            raise NoShock(
-                "jump function has no interior maximum; "
-                f"no shock end states exist for {eos.name}")
-        rs = brentq(dg, lo, rb, **_BRENTQ_KW)
-    return rs, g_eval(eos, q1, rs), rb
+        rb = rho_bar(eos, q1)
+        gnl = [gnl_indicator(eos, rho) for rho in linspace(rb * 1e-6, rb, 64)]
+        if min(gnl) <= 0.0:
+            warnings.warn(
+                "genuine nonlinearity fails inside (0, rho_bar); "
+                "the jump function may not be unimodal", RuntimeWarning)
+        try:
+            k = float(eos.k)
+            rs = q1 * (k - 2.0) / 2.0 if k > 2.0 else None
+        except AttributeError:
+            rs = None
+        if rs is None or not (0.0 < rs < rb):
+            # dg/drho(0+) > 0 > dg/drho(rho_bar) for a subluminal EOS,
+            # so the bracket is guaranteed; a sound speed at or above
+            # light kills the initial rise and g has no interior maximum
+            def dg(rho):
+                t = eos.theta_of_rho(rho)
+                c2 = eos.cs2(t)
+                return -eos.p(t) - rho * c2 + q1 * (1.0 - c2)
+            lo = rb * 1e-12
+            if not (dg(lo) > 0.0 > dg(rb)):
+                raise NoShock(
+                    "jump function has no interior maximum; "
+                    f"no shock end states exist for {eos.name}")
+            rs = brentq(dg, lo, rb, **_BRENTQ_KW)
+        return rs, g_eval(eos, q1, rs), rb
+    except EosError as exc:
+        raise NoShock(str(exc)) from None
 
 
 def u1_of_rho(rho, q0, q1):
@@ -180,7 +183,7 @@ def end_states(eos, q0, q1, cap=None):
     cap is (rho_star, Q, rho_bar) as q_max(eos, q1) returns it,
     computed here when the caller does not pass it.  Roots are isolated
     by Brent's method inside the guaranteed brackets (0, rho_star) and
-    (rho_star, rho_bar).
+    (rho_star, rho_bar).  An end state outside the EOS range: NoShock.
     """
     if q1 <= 0.0 or q0 <= q1:
         raise NoShock(f"need q0 > q1 > 0, got ({q0:g}, {q1:g})")
@@ -195,14 +198,17 @@ def end_states(eos, q0, q1, cap=None):
         return g_eval(eos, q1, rho) - r
 
     lo = rho_star
-    while f(lo) > 0.0:
-        lo *= 0.5
-        if lo < rho_star * 1e-280:
-            raise NoShock("failed to bracket the upstream root")
-    rm = brentq(f, lo, rho_star, **_BRENTQ_KW)
-    rp = brentq(f, rho_star, rb, **_BRENTQ_KW)
-    strength = 1.0 - r / q_cap
-    sd = ShockData(eos, q0, q1, rm, rp, strength, rho_star, q_cap, rb)
+    try:
+        while f(lo) > 0.0:
+            lo *= 0.5
+            if lo < rho_star * 1e-280:
+                raise NoShock("failed to bracket the upstream root")
+        rm = brentq(f, lo, rho_star, **_BRENTQ_KW)
+        rp = brentq(f, rho_star, rb, **_BRENTQ_KW)
+        strength = 1.0 - r / q_cap
+        sd = ShockData(eos, q0, q1, rm, rp, strength, rho_star, q_cap, rb)
+    except EosError as exc:
+        raise NoShock(str(exc)) from None
     _check_consistency(sd)
     return sd
 

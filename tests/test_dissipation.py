@@ -8,7 +8,7 @@ import pytest
 
 from shockscan import (
     BdnCoefficients, CausalityError, DissipationModel, EosError,
-    FluidState, FtCoefficients, MonomialEos, PolynomialEos, SingularMatrix,
+    FluidState, FtCoefficients, MonomialEos, PolynomialEos,
     bdn_causality_class, ft_coefficients, make_eos, make_model, nu_bound,
     parse_eos_expression, planar_rhs, radiation_eos, shock_from_strength,
     stress_hessian,
@@ -340,7 +340,7 @@ def test_closed_form_matches_reference(family):
 def test_planar_rhs_matches_reference_solve(family):
     # Cramer's rule on the closed form against np.linalg.solve on the
     # reference matrix, with the flux read off the ideal stress tensor;
-    # the rank-one ft-viscous matrix must trip the singularity guard
+    # at the rank-one ft-viscous matrix the field is NaN
     rng = np.random.default_rng(37)
     shocks = {RAD: shock_from_strength(RAD, 3.0, 0.5),
               SOFT: shock_from_strength(SOFT, 1.0, 0.5)}
@@ -351,8 +351,7 @@ def test_planar_rhs_matches_reference_solve(family):
         O = ref(st)
         if abs(np.linalg.det(O)) < 1e-10 * np.linalg.norm(O):
             assert family == "ft-viscous"
-            with pytest.raises(SingularMatrix):
-                planar_rhs(st.cov, shock, model)
+            assert np.isnan(planar_rhs(st.cov, shock, model)).all()
             continue
         assert family != "ft-viscous"
         F = ideal_stress(st, shock.eos)[:, 1] - [shock.q0, shock.q1]

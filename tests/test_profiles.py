@@ -11,7 +11,7 @@ from scipy.integrate._ivp.common import norm
 from scipy.integrate._ivp.rk import rk_step
 
 from shockscan import (
-    BdnCoefficients, DomainError, FluidState, FtCoefficients, MonomialEos,
+    BdnCoefficients, FluidState, FtCoefficients, MonomialEos,
     SingularMatrix, RestPointReport, compute_profile, flux, ft_coefficients,
     lyapunov_eval, make_model, oscillation_detect, parse_eos_expression,
     planar_rhs, profile_dynamics, radiation_eos, rest_point_classify, rk45,
@@ -203,6 +203,20 @@ def test_bdn_floor_spiral_onset_closed_form(nu, s_star):
         "connected_monotone", "connected_oscillatory"]
 
 
+@pytest.mark.parametrize("ds", [1e-14, 1e-13])
+def test_spiral_just_past_the_floor_onset_is_oscillatory(ds):
+    # just above s* = 4/49 the target is a spiral sink whose eigenvalues
+    # have |Im| / |lambda| of order 1e-7; the shot's spiral flag is the
+    # target's kind, so the point is oscillatory
+    sd = shock_from_strength(RAD, 1.0, 4.0 / 49.0 + ds)
+    m = make_model("bdn", RAD, eta=1.0, mu=4.0 / 3.0, nu=4.0)
+    res = shoot_heteroclinic(sd, m)
+    lam = res.rest_points[1].eigenvalues
+    assert np.abs(lam.imag / np.abs(lam)).max() < 1e-6
+    assert [rp.kind for rp in res.rest_points] == ["saddle", "spiral-sink"]
+    assert res.classification == "connected_oscillatory"
+
+
 def test_bdn_singular_locus_witness():
     # large mu drags the singular set of det M into the orbit's path
     sd = shock_from_strength(RAD, 1.0, 0.98)
@@ -238,16 +252,28 @@ def test_singular_matrix_at_a_rest_point():
     assert res.rest_points == [] and res.n_steps == 0
 
 
-def test_singular_matrix_inside_the_integration():
-    # planar_rhs raises SingularMatrix mid-orbit; the shot reports the
-    # arclength travelled to it
+def test_singular_matrix_inside_the_integration(monkeypatch):
+    # planar_rhs is NaN on the singular locus, so no step reaches it:
+    # the run stalls short of it under either method, the post-mortem
+    # names it, and the shot reports the accepted orbit
+    runs, integrate = [], rk45.integrate
+
+    def recorded(*args, **kw):
+        runs.append(integrate(*args, **kw))
+        return runs[-1]
+    monkeypatch.setattr(rk45, "integrate", recorded)
     sd = shock_from_strength(RAD, 0.1, 0.5)
     m = make_model("bdn", RAD, eta=1.0, mu=10.0, nu=100.0)
-    res = shoot_heteroclinic(sd, m)
-    assert res.classification == "singular_matrix"
-    assert res.reason.startswith("profile matrix singular at w = (")
-    assert [rp.kind for rp in res.rest_points] == ["sink", "saddle"]
-    assert 0.0 < res.arclength < 1.0
+    for method in rk45.METHODS:
+        res = shoot_heteroclinic(sd, m, method=method)
+        sol = runs[-1]
+        assert sol.status == -1 and sol.event is None
+        assert res.classification == "singular_matrix"
+        assert res.reason == ("orbit ran into the singular locus of the "
+                              "profile matrix (det M changes sign ahead)")
+        assert [rp.kind for rp in res.rest_points] == ["sink", "saddle"]
+        assert res.n_steps == sol.t.size > 0
+        assert res.arclength == sol.y[2, -1] > 0.0
 
 
 @pytest.mark.parametrize("name, value, reason", [
@@ -511,18 +537,20 @@ def test_result_summary_json(shock_rad):
 # ------------------------------------------------------- vector field
 
 def test_planar_rhs_domain_error(shock_rad):
+    # outside psi0 > |psi1| the field is undefined: NaN, not a raise
     m = make_model("ft-heat", RAD, eta=1.0, chi=0.5)
-    with pytest.raises(DomainError):
-        planar_rhs(np.array([-0.5, 0.6]), shock_rad, m)
+    for w in ([-0.5, 0.6], [-0.5, -0.5], [0.5, 0.1]):
+        assert all(map(math.isnan, planar_rhs(np.array(w), shock_rad, m)))
 
 
 def test_planar_rhs_singular_matrix(shock_rad):
-    # BDN at rest with mu = 4 eta / 3: M = diag(-nu, 0), exactly singular
+    # BDN at rest with mu = 4 eta / 3: M = diag(-nu, 0), exactly
+    # singular, and the field there is NaN
     m = make_model("bdn", RAD, eta=1.0, mu=4.0 / 3.0, nu=2.0)
-    with pytest.raises(SingularMatrix) as exc:
-        planar_rhs(np.array([-1.0, 0.0]), shock_rad, m)
-    assert exc.value.detval < 1e-12
-    assert exc.value.w[0] == -1.0
+    entries = m.entries(*FluidState(1.0, 0.0).theta_u())
+    assert profile_dynamics._det(entries) == (0.0, True)
+    assert all(map(math.isnan, planar_rhs(np.array([-1.0, 0.0]),
+                                          shock_rad, m)))
 
 
 def test_planar_rhs_vanishes_at_end_states(shock_rad):

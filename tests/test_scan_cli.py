@@ -91,6 +91,39 @@ def test_scan_never_aborts_on_bad_points():
     assert res.records[1].reason
 
 
+POLY_FILE = "p(theta) = 1/3*theta^4 + 1/2*theta^3\n"
+
+
+@pytest.mark.parametrize("q1", [1e30, 1e-30])
+def test_scan_records_end_states_outside_the_eos_range(tmp_path, q1):
+    # at q1 = 1e30 and 1e-30, rho_bar (where p = q1) lies outside the
+    # EOS validity range theta in [1e-6, 1e6]: that point has no end
+    # states, and the scan goes on
+    path = tmp_path / "poly.eos"
+    path.write_text(POLY_FILE)
+    res = run_scan(f"file:{path}", "ft-heat", {"eta": 1.0, "chi": 0.5},
+                   [1.0, q1], [0.5], method="LSODA")
+    assert [r.classification for r in res.records] == [
+        "connected_monotone", "no_end_states"]
+    assert res.records[1].reason.endswith("outside EOS validity range")
+
+
+@pytest.mark.parametrize("flux", [
+    ["--q1", "1e30", "--strength", "0.5"], ["--q1", "1e30", "--q0", "2e30"],
+    ["--q1", "1e-30", "--strength", "0.5"], ["--q1", "1e-30", "--q0", "2e-30"],
+], ids=["q1=1e30-strength", "q1=1e30-q0", "q1=1e-30-strength",
+        "q1=1e-30-q0"])
+def test_cli_rh_outside_the_eos_range_exit_two(tmp_path, capsys, flux):
+    path = tmp_path / "poly.eos"
+    path.write_text(POLY_FILE)
+    assert main(["rh", "--eos", f"file:{path}", *flux]) == 2
+    assert "outside EOS validity range" in capsys.readouterr().err
+    # a malformed EOS file is still a configuration error
+    path.write_text("p(theta) = 1/3*theta^x\n")
+    assert main(["rh", "--eos", f"file:{path}", *flux]) == 1
+    assert "cannot parse" in capsys.readouterr().err
+
+
 def test_scan_records_refused_points(monkeypatch):
     # ft-heat at chi = 10 has sigma = 2 - 10 theta / 3 < 0 across this
     # shock: the point is causality_error, named, with no profile

@@ -10,13 +10,18 @@ theta plus chi theta^2 times a function of u, so (q1, eta, zeta, chi)
 gives the profile of (1, eta, zeta, chi q1^(1/4)) with its width scaled
 by 1/q1.  M is linear in its coefficients, so scaling all of them by c
 scales the width by c.  A two-term EOS has no such law, which is the
-control.
+control.  The degrees the law rests on are certified with sympy below,
+on the closed forms the docstrings state.
 """
+
+import math
+from fractions import Fraction
 
 import pytest
 
-from shockscan import (parse_eos_expression, radiation_eos, run_scan,
-                       shock_from_strength)
+from shockscan import (BdnCoefficients, FtCoefficients, MonomialEos,
+                       fluid_core, make_model, parse_eos_expression,
+                       radiation_eos, run_scan, shock_from_strength)
 from shockscan.rk45 import SETTINGS
 
 RAD = radiation_eos()
@@ -94,3 +99,90 @@ def test_width_scales_as_one_over_q1(model, co, q1):
     got_classes, got = profiles(model, co, q1)
     assert got_classes == classes
     assert_widths(got, widths, q1)
+
+
+# ------------------------------------------------------- certificate
+
+def closed_forms(sympy):
+    """The flux and the planar matrices of the ft, Eckart and BDN
+    tensors, built from the closed forms their docstrings state, for
+    p = c theta^k: (symbols, flux, {family: M})."""
+    t, lam, c, k = sympy.symbols("theta lambda c k", positive=True)
+    eta, zeta, chi, mu, nu = sympy.symbols("eta zeta chi mu nu",
+                                           positive=True)
+    psi0, psi1, b = sympy.symbols("psi0 psi1 b", real=True)
+    p = c * t ** k
+    dp = sympy.diff(p, t)
+    # fluid_core.flux: column 1 of theta^3 p' psi^a psi^b + p g^ab
+    flux = [t ** 3 * dp * psi0 * psi1, t ** 3 * dp * psi1 * psi1 + p]
+    # dissipation: n = (u1, u0), U = (u0, u1), Pi = n (x) n
+    u0 = sympy.sqrt(1 + b ** 2)
+    n, U = sympy.Matrix([b, u0]), sympy.Matrix([u0, b])
+    a = sympy.Matrix([u0 ** 2 + b ** 2, 2 * u0 * b])
+    w = sympy.Matrix([4 * u0 * b, u0 ** 2 + 3 * b ** 2])
+    cs2 = dp / (t * sympy.diff(p, t, 2))
+    visc = sympy.Rational(4, 3) * eta + zeta
+    sigma = visc / (1 - cs2) - cs2 * chi * t
+    M = {"ft-heat": sigma * t * n * n.T + chi * t ** 2 * U * U.T,
+         "eckart": visc * t * u0 ** 2 * n * n.T + chi * t ** 2 * u0 * a * U.T,
+         "bdn": (sympy.Rational(4, 3) * eta * u0 ** 2 * n * n.T
+                 - mu * w * w.T - nu * a * a.T)}
+    syms = dict(t=t, lam=lam, c=c, k=k, eta=eta, zeta=zeta, chi=chi, mu=mu,
+                nu=nu, psi0=psi0, psi1=psi1, b=b)
+    return syms, flux, M
+
+
+# (t, u1) of the two states each float function is checked at
+STATES = [(0.7, 0.4), (2.3, -1.1)]
+CO = {"eta": 1.0, "zeta": 0.3, "chi": 0.5, "mu": 2.0, "nu": 3.0}
+
+
+def assert_matches(forms, values, at):
+    # each float value against its sympy form, relative to the largest
+    want = [float(f.subs(at)) for f in forms]
+    scale = max(map(abs, want))
+    assert max(abs(g - v) for g, v in zip(values, want)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("c, k", [("1/3", 4), ("1", "5/2")],
+                         ids=["radiation", "power-law:5/2"])
+def test_flux_degree_certificate(c, k):
+    # flux(lambda t, psi / lambda) = lambda^k flux(t, psi)
+    sympy = pytest.importorskip("sympy")
+    s, flux, _ = closed_forms(sympy)
+    t, lam, psi0, psi1 = s["t"], s["lam"], s["psi0"], s["psi1"]
+    scaled = {t: lam * t, psi0: psi0 / lam, psi1: psi1 / lam}
+    for f in flux:
+        assert sympy.simplify(f.subs(scaled, simultaneous=True)
+                              - lam ** s["k"] * f) == 0
+    eos = MonomialEos(Fraction(c), Fraction(k))
+    for th, u1 in STATES:
+        ps0, ps1 = math.hypot(1.0, u1) / th, u1 / th
+        at = {s["c"]: Fraction(c), s["k"]: Fraction(k), t: th, psi0: ps0,
+              psi1: ps1}
+        assert_matches(flux, fluid_core.flux(th, ps0, ps1, eos), at)
+
+
+@pytest.mark.parametrize("family", ["ft-heat", "eckart", "bdn"])
+def test_matrix_degree_certificate(family):
+    # ft and Eckart: M(lambda t, chi / lambda) = lambda M(t, chi); BDN:
+    # M does not depend on t
+    sympy = pytest.importorskip("sympy")
+    s, _, forms = closed_forms(sympy)
+    M, t, lam, chi = forms[family], s["t"], s["lam"], s["chi"]
+    if family == "bdn":
+        assert t not in M.free_symbols
+        c, k = "1/3", 4
+    else:
+        scaled = M.subs({t: lam * t, chi: chi / lam}, simultaneous=True)
+        assert sympy.simplify(scaled - lam * M) == sympy.zeros(2, 2)
+        c, k = "1", "5/2"
+    eos = MonomialEos(Fraction(c), Fraction(k))
+    model = make_model(family, eos, **{
+        key: CO[key] for key in (BdnCoefficients._fields if family == "bdn"
+                                 else FtCoefficients._fields)})
+    for th, u1 in STATES:
+        at = {s["c"]: Fraction(c), s["k"]: Fraction(k), t: th, s["b"]: u1,
+              **{s[key]: v for key, v in CO.items()}}
+        assert_matches(list(M),
+                       model.entries(th, math.hypot(1.0, u1), u1), at)
