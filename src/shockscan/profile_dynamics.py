@@ -65,8 +65,7 @@ def _det(m):
 
 def planar_rhs(w, shock, model):
     """dw/dx = M(psi)^-1 F(w) of the profile system at covariant w, as
-    a pair of floats.  Only w[0] and w[1] are read, so the shot passes
-    its state with the arclength appended as it is.
+    a pair of floats.
 
     (nan, nan) where the field is undefined, outside psi0 > |psi1| and
     where det M < TOL_DET * ||M||, so no integrator step lands there.
@@ -391,37 +390,40 @@ def shoot_heteroclinic(shock, model, **overrides):
 
     tgt0, tgt1 = float(tgt[0]), float(tgt[1])
 
+    # the state y is (arclength, w0, w1)
     def rhs(x, y):
-        d0, d1 = planar_rhs(y, shock, model)
+        d0, d1 = planar_rhs(y[1:], shock, model)
         d0 *= direction
         d1 *= direction
-        return d0, d1, math.hypot(d0, d1)
+        return math.hypot(d0, d1), d0, d1
 
     def events(x, y):
         # (conn, rho, arc): the far state's tol_conn ball, the
-        # admissible densities and the arclength budget.  Below rho_bar
+        # admissible densities and the arclength budget.  The arclength
+        # is a quadrature, outside the error test: it ends a run here
+        # but sets no step size.  Below rho_bar
         # psi0 - |psi1| = theta^-2 / (psi0 + |psi1|), so an orbit comes
         # within 1e-12 of the light cone only past psi0 + |psi1| =
         # 1e12 / theta_bar^2 (5.8e11 for radiation at q1 = 1), far
         # beyond the arclength budget: no event watches the cone
-        d = y[0] ** 2 - y[1] ** 2
+        d = y[1] ** 2 - y[2] ** 2
         if d <= 0.0:
             rho_margin = -1.0
         else:
             rho = eos.rho(d ** -0.5)
             rho_margin = min(rbar - rho, rho - rho_floor)
-        return (math.hypot(y[0] - tgt0, y[1] - tgt1) - tol_conn,
+        return (math.hypot(y[1] - tgt0, y[2] - tgt1) - tol_conn,
                 rho_margin,
-                y[2] - ARC_BUDGET * amp)
+                y[0] - ARC_BUDGET * amp)
 
-    y0 = np.array([src[0] + eps * v[0], src[1] + eps * v[1], 0.0])
-    sol = rk45.integrate(rhs, X_MAX, y0, events,
-                         st["rtol"], st["atol"], method=st["method"])
+    y0 = np.array([0.0, src[0] + eps * v[0], src[1] + eps * v[1]])
+    sol = rk45.integrate(rhs, X_MAX, y0, events, st["rtol"], st["atol"],
+                         method=st["method"], quadratures=1)
 
     # the event that ended the orbit, by name; None when none did
     ended = (None if sol.event is None
              else ("conn", "rho", "arc")[sol.event])
-    arclen = float(sol.y[2, -1]) if sol.y.shape[1] else 0.0
+    arclen = float(sol.y[0, -1]) if sol.y.shape[1] else 0.0
 
     def failed(cls, why):
         return ProfileResult(cls, shock, model, reason=why,
@@ -431,7 +433,7 @@ def shoot_heteroclinic(shock, model, **overrides):
     if sol.status < 0:
         # RK45's step size underflowed, or LSODA ended at its last
         # finite state, without reaching any event: find out why
-        return failed(*_diagnose_stall(sol.y[:2, -1], direction, shock,
+        return failed(*_diagnose_stall(sol.y[1:, -1], direction, shock,
                                        model, rho_floor, amp))
 
     if ended == "rho":
@@ -443,7 +445,7 @@ def shoot_heteroclinic(shock, model, **overrides):
 
     # order the samples by physical x, and classify
     x = direction * sol.t
-    w = sol.y[:2].T
+    w = sol.y[1:].T
     if direction < 0.0:
         x, w = x[::-1], w[::-1]
 
@@ -472,7 +474,7 @@ def shoot_heteroclinic(shock, model, **overrides):
                          endpoint_errors=err,
                          width=None if None in (lo, hi) else hi - lo,
                          n_steps=sol.t.size,
-                         arclength=float(sol.y[2, -1]), settings=st)
+                         arclength=arclen, settings=st)
 
 
 def _diagnose_stall(w, direction, shock, model, rho_floor, amp):

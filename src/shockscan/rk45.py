@@ -7,20 +7,30 @@ the run at the earliest root: every event ends the run, as a terminal
 event of scipy's `solve_ivp` does, without `solve_ivp`'s per-step array
 work.  The Solution names the event that ended the run.
 
+Leading components of the state may be quadratures, as in CVODES: the
+vector field reads none of them, and they are stepped with the rest but
+left out of the error test.  The shot's arclength is one; it sets no
+step size.
+
 RK45 steps come from the package's own Dormand-Prince 5(4) pair, the
 scheme of scipy's `RK45` step for step: the same tableau, initial step
-selection, step-size controller and step-size underflow rule.  It takes
-the same steps as `solve_ivp(method="RK45")` up to roundoff in the
-sums.  Its states are lists of floats rather than arrays: for the two-
-and three-component profile systems numpy's per-call overhead on tiny
-vectors cost more than the arithmetic it carries out.
+selection, step-size controller and step-size underflow rule.  Its
+error norm, and that of its initial step, is the RMS over the
+components in the error test.  It takes the same steps as
+`solve_ivp(method="RK45")` up to roundoff in the sums, when scipy's RMS
+norm runs over the same components.  Its states are lists of floats
+rather than arrays: for the two- and three-component profile systems
+numpy's per-call overhead on tiny vectors cost more than the arithmetic
+it carries out.
 
 LSODA, for stiff systems, is built as scipy's `LSODA` (tolerance
 checks, first step, tcrit = t_bound) and then stepped through its
 ODEPACK integrator, the call `LSODA.step` makes without the `OdeSolver`
-layers around it.  Its dense output is built only when an event fires,
-and the run has the samples, status and event time that `solve_ivp`
-returns, bit for bit, but for one exception: where ODEPACK accepts a
+layers around it.  ODEPACK's norm is a max norm weighted by
+1/(atol + rtol |y|), and a quadrature's atol is QUADRATURE_ATOL.  Its
+dense output is built only when an event fires, and the run has the
+samples, status and event time that `solve_ivp` returns with the same
+atol, bit for bit, but for one exception: where ODEPACK accepts a
 step to a state that is not finite, LSODA ends with status -1 at the
 last finite sample.  Only an LSODA run imports `scipy.integrate`;
 events are located by the package's own `brentq`, so an RK45 run
@@ -88,6 +98,13 @@ P = (
      69997945 / 29380423),
 )
 
+# LSODA's absolute tolerance for a quadrature.  ODEPACK weighs
+# component i by 1/(atol_i + rtol |y_i|) in every norm it takes, so
+# this weight is as good as zero.  It must be finite: math.inf took
+# 17,885 steps on the test_02 ft-heat grid, where 1e6, 1e30, 1e100 and
+# 1e300 all took 11,150.
+QUADRATURE_ATOL = 1e300
+
 SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
@@ -108,13 +125,14 @@ def _rms(v):
     return math.sqrt(sum(x * x for x in v)) / len(v) ** 0.5
 
 
-def _initial_step(fun, y0, f0, t_bound, direction, rtol, atol):
+def _initial_step(fun, y0, f0, t_bound, direction, rtol, atol, q):
     """scipy's select_initial_step for an explicit order-4 error
-    estimate, starting at t = 0 with no step limit."""
+    estimate, starting at t = 0 with no step limit, its RMS norms taken
+    over the components in the error test, all but the first q."""
     interval = abs(t_bound)
-    scale = [atol + abs(v) * rtol for v in y0]
-    d0 = _rms([v / s for v, s in zip(y0, scale)])
-    d1 = _rms([v / s for v, s in zip(f0, scale)])
+    scale = [atol + abs(v) * rtol for v in y0[q:]]
+    d0 = _rms([v / s for v, s in zip(y0[q:], scale)])
+    d1 = _rms([v / s for v, s in zip(f0[q:], scale)])
     if d0 < 1e-5 or d1 < 1e-5:
         h0 = 1e-6
     else:
@@ -122,7 +140,7 @@ def _initial_step(fun, y0, f0, t_bound, direction, rtol, atol):
     h0 = min(h0, interval)
     dh = h0 * direction
     f1 = fun(dh, [v + dh * fv for v, fv in zip(y0, f0)])
-    d2 = _rms([(a - b) / s for a, b, s in zip(f1, f0, scale)]) / h0
+    d2 = _rms([(a - b) / s for a, b, s in zip(f1[q:], f0[q:], scale)]) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -131,14 +149,17 @@ def _initial_step(fun, y0, f0, t_bound, direction, rtol, atol):
 
 
 @functools.cache
-def _stepper(n):
-    """The Dormand-Prince step for states of n components.
+def _stepper(n, q):
+    """The Dormand-Prince step for states of n components, the first q
+    of them quadratures.
 
     step(fun, t, y, f, h, rtol, atol) takes one step of size h from
     (t, y), f being fun(t, y), and returns (y_new, f_new, K, err).  K
     holds the seven stage derivatives (the last is f_new); err is the
-    RMS norm of the embedded error estimate scaled by
-    atol + rtol * max(|y|, |y_new|), NaN when a stage was NaN.
+    RMS norm, over components q to n - 1, of the embedded error estimate
+    scaled by atol + rtol * max(|y|, |y_new|), NaN when a stage was NaN.
+    The quadratures are stepped by the same stages and have no say in
+    err.
 
     The source is generated from the tableau with every component
     written out, so that a stage costs no zip or list comprehension.
@@ -165,15 +186,15 @@ def _stepper(n):
     lines += [f"    n_{i} = y_{i} + h * ({combo(B, i)})" for i in range(n)]
     lines += [f"    y_new = [{', '.join(names('n'))}]",
               "    k7 = fun(t + h, y_new)", unpack("k7", "k7")]
-    for i in range(n):
+    for i in range(q, n):
         lines += [f"    v, vn = abs(y_{i}), abs(n_{i})",
                   f"    x_{i} = (({combo(E, i)}) * h"
                   f" / (atol + (v if v > vn else vn) * rtol))"]
-    squares = " + ".join(f"x_{i} * x_{i}" for i in range(n))
-    lines += [f"    err = sqrt({squares}) / {n ** 0.5!r}",
+    squares = " + ".join(f"x_{i} * x_{i}" for i in range(q, n))
+    lines += [f"    err = sqrt({squares}) / {(n - q) ** 0.5!r}",
               "    return y_new, k7, (k1, k2, k3, k4, k5, k6, k7), err"]
     namespace = {"sqrt": math.sqrt}
-    exec(compile("\n".join(lines), f"<rk45 step, n={n}>", "exec"),
+    exec(compile("\n".join(lines), f"<rk45 step, n={n}, q={q}>", "exec"),
          namespace)
     return namespace["step"]
 
@@ -193,8 +214,9 @@ def _dense_output(t_old, h, y_old, K):
     return y_at
 
 
-def _dormand_prince(fun, t_bound, y, rtol, atol):
-    """Accepted Dormand-Prince 5(4) steps from (0, y) toward t_bound.
+def _dormand_prince(fun, t_bound, y, rtol, atol, q):
+    """Accepted Dormand-Prince 5(4) steps from (0, y) toward t_bound,
+    the first q components of y quadratures, outside the error test.
 
     Yields (t, y, data) per accepted step, _dense_output(*data) being
     the quartic interpolant over it, and stops early when the step size
@@ -205,8 +227,8 @@ def _dormand_prince(fun, t_bound, y, rtol, atol):
     direction = 1.0 if t_bound > 0.0 else -1.0
     t = 0.0
     f = fun(t, y)
-    h_abs = _initial_step(fun, y, f, t_bound, direction, rtol, atol)
-    step = _stepper(len(y))
+    h_abs = _initial_step(fun, y, f, t_bound, direction, rtol, atol, q)
+    step = _stepper(len(y), q)
     while direction * (t - t_bound) < 0:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         if h_abs < min_step:
@@ -247,20 +269,38 @@ def _lsoda_steps(solver, f):
     the same steps and states, bit for bit.  Stops when the integrator
     fails, and before the first state that is not finite: ODEPACK's
     error test (the error norm > 1) passes a NaN, so unchecked a
-    poisoned step would be accepted and carried to t_bound.
+    poisoned step would be accepted and carried to t_bound.  Raises
+    RuntimeError, before the first step, when this scipy lacks one of
+    the private names read here.
     """
-    integrator = solver._lsoda_solver._integrator
-    integrator.call_args[2] = 5
-    y, t, t_bound = solver._lsoda_solver._y, solver.t, solver.t_bound
+    ode = _private(solver, "_lsoda_solver")
+    integrator = _private(ode, "_integrator")
+    run = _private(integrator, "run")
+    _private(integrator, "call_args")[2] = 5
+    y, t, t_bound = _private(ode, "_y"), solver.t, solver.t_bound
     while True:
         t_old = t
-        y, t = integrator.run(f, _no_jacobian, y, t, t_bound, (), ())
+        y, t = run(f, _no_jacobian, y, t, t_bound, (), ())
         if not integrator.success:
             return
         y_list = y.tolist()
         if not all(map(math.isfinite, y_list)):
             return
         yield t, y_list, (solver, t_old, t)
+
+
+def _private(obj, name):
+    """obj.name, a private scipy name that LSODA stepping reads; one
+    RuntimeError naming the scipy version and the name when it is
+    missing (the names are those of scipy 1.17.1)."""
+    try:
+        return getattr(obj, name)
+    except AttributeError:
+        import scipy
+        raise RuntimeError(
+            f"scipy {scipy.__version__} has no {type(obj).__name__}.{name}, "
+            f"which LSODA stepping reads (written against scipy 1.17.1)"
+        ) from None
 
 
 def _no_jacobian():
@@ -274,7 +314,8 @@ def _lsoda_dense_output(solver, t_old, t):
     return solver.dense_output()
 
 
-def integrate(fun, t_bound, y0, events, rtol, atol, method="RK45"):
+def integrate(fun, t_bound, y0, events, rtol, atol, method="RK45",
+              quadratures=0):
     """Integrate dy/dt = fun(t, y) from t = 0 toward t_bound (either
     sign) with RK45 or LSODA.
 
@@ -287,10 +328,24 @@ def integrate(fun, t_bound, y0, events, rtol, atol, method="RK45"):
     along the direction of integration ends the run as its last sample,
     the lower event index winning a tie.  Returns a Solution.
 
+    The first `quadratures` components of y are quadratures, as in
+    CVODES: fun reads none of them, and they are stepped with the
+    others, by the same stages or the same ODEPACK steps, but left out
+    of the error test, so they set no step size.  RK45 takes the RMS
+    norm of its error estimate, and of its initial step selection, over
+    the other m components, dividing by sqrt(m).  LSODA, whose norm is
+    a weighted max norm, gives them the absolute tolerance
+    QUADRATURE_ATOL.  They lead the state for LSODA's sake: the columns
+    of its Newton matrix I - h l0 J that belong to them are then unit
+    columns ahead of the others, so partial pivoting takes their rows
+    first, with zero multipliers, and factors the other rows alone.
+    Trailing, a quadrature's row could be chosen as a pivot, and its
+    integrand would move the other components in the last bits.
+
     Under LSODA the samples, status and event time are those of
-    solve_ivp, bit for bit, with one exception: the run ends with
-    status -1 at the last finite sample where its error test would
-    accept a state that is not finite (see _lsoda_steps).
+    solve_ivp given the same atol, bit for bit, with one exception: the
+    run ends with status -1 at the last finite sample where its error
+    test would accept a state that is not finite (see _lsoda_steps).
     """
     direction = 1.0 if t_bound > 0.0 else -1.0
     t = 0.0
@@ -298,13 +353,16 @@ def integrate(fun, t_bound, y0, events, rtol, atol, method="RK45"):
     # steps yield (t, y, data); interpolant(*data) is the dense output
     # over the step, built only when an event fires
     if method == "RK45":
-        steps = _dormand_prince(fun, t_bound, y, rtol, atol)
+        steps = _dormand_prince(fun, t_bound, y, rtol, atol, quadratures)
         interpolant = _dense_output
     elif method == "LSODA":
         from scipy.integrate import LSODA
 
         def f(t, y):
             return fun(t, y.tolist())
+        if quadratures:
+            atol = ([QUADRATURE_ATOL] * quadratures
+                    + [atol] * (len(y) - quadratures))
         solver = LSODA(f, t, y0, t_bound, rtol=rtol, atol=atol)
         steps = _lsoda_steps(solver, f)
         interpolant = _lsoda_dense_output

@@ -1,12 +1,15 @@
 """Profile ODE: scalar quadrature, heteroclinic shooting, classification."""
 
 import math
+import re
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy.integrate import LSODA, RK45, quad, solve_ivp
 from scipy.optimize import brentq
+from scipy.integrate._ivp import common as ivp_common, rk as ivp_rk
 from scipy.integrate._ivp.common import norm
 from scipy.integrate._ivp.rk import rk_step
 
@@ -273,7 +276,7 @@ def test_singular_matrix_inside_the_integration(monkeypatch):
                               "profile matrix (det M changes sign ahead)")
         assert [rp.kind for rp in res.rest_points] == ["sink", "saddle"]
         assert res.n_steps == sol.t.size > 0
-        assert res.arclength == sol.y[2, -1] > 0.0
+        assert res.arclength == sol.y[0, -1] > 0.0
 
 
 @pytest.mark.parametrize("name, value, reason", [
@@ -649,19 +652,32 @@ def test_oscillation_detect():
 # rk45.integrate against solve_ivp: RK45 copies scipy's scheme, every
 # other method steps scipy's own solver
 
-def solve_ivp_oracle(fun, t_bound, y0, events, rtol, atol, method="RK45"):
+def solve_ivp_oracle(fun, t_bound, y0, events, rtol, atol, method="RK45",
+                     quadratures=0):
     """rk45.integrate's contract, run by solve_ivp: the tuple events
     returns split into one terminal event per component, so that
-    solve_ivp ends the run on each of them."""
+    solve_ivp ends the run on each of them.  The first `quadratures`
+    components get the absolute tolerance rk45.QUADRATURE_ATOL, and the
+    RMS norm of scipy's RK45 (of its error estimate and of its initial
+    step selection) runs over the others only, while the run lasts."""
     def terminal(i):
         def g(t, y):
             return events(t, y)[i]
         g.terminal = True
         return g
     n = len(events(0.0, y0))
-    return solve_ivp(lambda t, y: fun(t, y.tolist()), (0.0, t_bound), y0,
-                     method=method, events=[terminal(i) for i in range(n)],
-                     rtol=rtol, atol=atol)
+    m = len(y0) - quadratures
+    if quadratures:
+        atol = [rk45.QUADRATURE_ATOL] * quadratures + [atol] * m
+
+    def controlled_norm(x):
+        return np.linalg.norm(x[quadratures:]) / m ** 0.5
+    with mock.patch.object(ivp_rk, "norm", controlled_norm), \
+            mock.patch.object(ivp_common, "norm", controlled_norm):
+        return solve_ivp(lambda t, y: fun(t, y.tolist()), (0.0, t_bound),
+                         y0, method=method,
+                         events=[terminal(i) for i in range(n)],
+                         rtol=rtol, atol=atol)
 
 
 def no_events(t, y):
@@ -677,10 +693,11 @@ def fired(ref):
 
 
 def solve_ivp_integrate(fun, t_bound, y0, events, rtol, atol,
-                        method="RK45"):
+                        method="RK45", quadratures=0):
     """solve_ivp_oracle as a drop-in rk45.integrate, the result a
     Solution."""
-    ref = solve_ivp_oracle(fun, t_bound, y0, events, rtol, atol, method)
+    ref = solve_ivp_oracle(fun, t_bound, y0, events, rtol, atol, method,
+                           quadratures)
     return rk45.Solution(ref.t, ref.y, ref.status, fired(ref))
 
 
@@ -696,6 +713,17 @@ def _shot_fun(shock):
     return fun, [*w.tolist(), 0.2]
 
 
+def _shot_arclength_fun(shock):
+    # the shot's state as the shot lays it out: the arclength, a
+    # quadrature, leads covariant w
+    fun, (w0, w1, arc) = _shot_fun(shock)
+
+    def lead(t, y):
+        d0, d1, speed = fun(t, y[1:])
+        return speed, d0, d1
+    return lead, [arc, w0, w1]
+
+
 def _quadrature_fun(shock):
     # one component, returned as a list like the scalar quadrature's
     def fun(t, y):
@@ -703,11 +731,14 @@ def _quadrature_fun(shock):
     return fun, [0.3]
 
 
-@pytest.mark.parametrize("make_fun", [_shot_fun, _quadrature_fun],
-                         ids=["shot", "quadrature"])
-def test_rk45_step_matches_scipy(shock_rad, make_fun):
+@pytest.mark.parametrize("make_fun, quadratures", [
+    (_shot_fun, 0), (_quadrature_fun, 0), (_shot_arclength_fun, 1),
+], ids=["shot", "quadrature", "shot-arclength"])
+def test_rk45_step_matches_scipy(shock_rad, make_fun, quadratures):
+    # shot-arclength: the arclength is a quadrature, outside the error
+    # norm, whose RMS runs over w alone
     fun, y = make_fun(shock_rad)
-    step = rk45._stepper(len(y))
+    step = rk45._stepper(len(y), quadratures)
     rtol, atol = 1e-10, 1e-12
     f = fun(0.0, y)
     for h in (1e-3, 1e-2, -0.05):
@@ -723,27 +754,29 @@ def test_rk45_step_matches_scipy(shock_rad, make_fun):
         # the error estimate sums terms that nearly cancel (E sums to
         # 0), so it is compared relative to the size of those terms
         scale = atol + np.maximum(np.abs(y), np.abs(yr)) * rtol
-        err_ref = norm(np.dot(Kr.T, RK45.E) * h / scale)
-        terms = norm(np.dot(np.abs(Kr.T), np.abs(RK45.E)) * abs(h) / scale)
+        err_ref = norm((np.dot(Kr.T, RK45.E) * h / scale)[quadratures:])
+        terms = norm((np.dot(np.abs(Kr.T), np.abs(RK45.E)) * abs(h)
+                      / scale)[quadratures:])
         assert 0.0 < err and abs(err - err_ref) <= 1e-14 * terms, h
 
 
 def test_rk45_step_dimensions(shock_rad, monkeypatch):
-    # the shot integrates (w, arclength), the quadrature rho alone; both
-    # run the step that test_rk45_step_matches_scipy pins
+    # the shot integrates (arclength, w), the arclength a quadrature
+    # outside the error test, the scalar quadrature rho alone; both run
+    # the step that test_rk45_step_matches_scipy pins
     asked = []
 
-    def spy(n):
-        asked.append(n)
-        return stepper(n)
+    def spy(n, q):
+        asked.append((n, q))
+        return stepper(n, q)
     stepper = rk45._stepper
     monkeypatch.setattr(rk45, "_stepper", spy)
     model = make_model("bdn", RAD, eta=1.0, mu=4.0 / 3.0, nu=4.0)
     assert shoot_heteroclinic(shock_from_strength(RAD, 1.0, 0.5),
                               model).connected
-    assert asked == [3]
+    assert asked == [(3, 1)]
     assert scalar_profile_ft(shock_rad, FtCoefficients(1.0)).connected
-    assert asked == [3, 1, 1]
+    assert asked == [(3, 1), (1, 0), (1, 0)]
 
 
 @pytest.mark.parametrize("s", [0.05, 0.3, 0.6, 0.98])
@@ -761,6 +794,46 @@ def test_rk45_bdn_shot_matches_scipy(s, monkeypatch):
     for i in (0, -1):
         assert np.allclose(got.w[i], want.w[i], rtol=1e-12, atol=1e-12)
     assert got.arclength == pytest.approx(want.arclength, rel=1e-12)
+
+
+@pytest.mark.parametrize("tag, co, q1, kw", [
+    ("bdn", dict(eta=1.0, mu=4.0 / 3.0, nu=4.0), 1.0, {}),
+    ("ft-heat", dict(eta=1.0, chi=0.5), 3.0,
+     dict(method="LSODA", rtol=1e-9, atol=1e-11)),
+], ids=["RK45", "LSODA"])
+def test_shot_arclength_is_outside_the_error_test(tag, co, q1, kw,
+                                                  monkeypatch):
+    # the arclength integrand times 1e6 (and the budget with it) moves
+    # no step: the same steps and the same w samples, to the last bit
+    sd = shock_from_strength(RAD, q1, 0.5)
+    m = make_model(tag, RAD, **co)
+    want = shoot_heteroclinic(sd, m, **kw)
+    integrate = rk45.integrate
+
+    def scaled_integrate(fun, *args, **kwargs):
+        def scaled(t, y):
+            speed, d0, d1 = fun(t, y)
+            return 1e6 * speed, d0, d1
+        return integrate(scaled, *args, **kwargs)
+    monkeypatch.setattr(rk45, "integrate", scaled_integrate)
+    monkeypatch.setattr(profile_dynamics, "ARC_BUDGET",
+                        1e6 * profile_dynamics.ARC_BUDGET)
+    got = shoot_heteroclinic(sd, m, **kw)
+    assert want.connected and got.classification == want.classification
+    assert got.n_steps == want.n_steps
+    assert np.array_equal(got.x, want.x) and np.array_equal(got.w, want.w)
+    assert got.arclength == pytest.approx(1e6 * want.arclength, rel=1e-6)
+
+
+def test_strong_bdn_shot_ends_fast():
+    # with the arclength in the error test this shot took 78,159 steps;
+    # ROADMAP item 4's strong-shock fit gives a width of 25.04783
+    sd = shock_from_strength(RAD, 1.0, 0.999)
+    m = make_model("bdn", RAD, eta=1.0, mu=4.0 / 3.0, nu=4.0)
+    res = shoot_heteroclinic(sd, m)
+    assert res.classification == "connected_oscillatory"
+    assert res.n_steps < 10_000
+    assert res.width == pytest.approx(25.047813, rel=1e-6)
 
 
 def test_rk45_backward_scalar_run_matches_scipy(shock_rad, monkeypatch):
@@ -837,6 +910,23 @@ def test_lsoda_ends_at_the_last_finite_state():
     assert sol.status == -1
     assert sol.t.size > 1 and np.all(np.isfinite(sol.t))
     assert np.all(np.isfinite(sol.y)) and np.all(sol.y < 1.0)
+
+
+def test_lsoda_without_its_private_names_fails_clearly(monkeypatch):
+    # LSODA is stepped through private scipy names; a scipy without one
+    # gets one error naming the scipy version and the missing name
+    import scipy
+    init = LSODA.__init__
+
+    def without_lsoda_solver(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        del self._lsoda_solver
+    monkeypatch.setattr(LSODA, "__init__", without_lsoda_solver)
+    want = (f"scipy {re.escape(scipy.__version__)} has no "
+            r"LSODA\._lsoda_solver")
+    with pytest.raises(RuntimeError, match=want):
+        rk45.integrate(lambda t, y: [-y[0]], 1.0, [1.0], no_events, 1e-9,
+                       1e-11, method="LSODA")
 
 
 def test_integrate_runs_only_rk45_and_lsoda():
