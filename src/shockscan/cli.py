@@ -8,10 +8,13 @@ Four subcommands:
     causality   classify a BDN coefficient triple
 
 Options can come from an INI config file (--config) with sections
-[eos], [model], [shock], [solver], [scan], [output]; command line flags
-override file values.  An unknown section or key is a configuration
-error; a key that only another subcommand reads is ignored.  Numeric
-options accept fractions like 4/3.
+[eos], [model], [shock], [solver], [scan], [output].  A file value
+becomes the raw default of its flag, so argparse converts it with the
+flag's own type, and only when the flag is absent: a flag wins, and a
+malformed value (but a gnuplot one) is reported under the flag's name.
+An unknown section or key is a configuration error; a key that only
+another subcommand reads is never read.  Numeric options accept
+fractions like 4/3.
 
 Exit codes: 0 success (end states found, profile connected, scan or
 classification completed); 1 configuration error (bad flags, malformed
@@ -67,7 +70,8 @@ def build_parser():
         description="Relativistic shock end states and dissipation profiles")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, model=True):
+    def common(p, run, model=True):
+        p.set_defaults(run=run)
         p.add_argument("--config", help="INI configuration file")
         p.add_argument("--eos", help="radiation | power-law:K | file:PATH")
         p.add_argument("--q1", type=fracfloat, help="momentum flux")
@@ -85,20 +89,20 @@ def build_parser():
             p.add_argument("--method", help="integrator: "
                            f"{' or '.join(METHODS)} "
                            f"(default {SETTINGS['method']})")
-            p.add_argument("--gnuplot", action="store_true", default=None,
+            p.add_argument("--gnuplot", action="store_true",
                            help="also write a gnuplot script")
 
     # no abbreviations: a prefix of a flag would change meaning when a
     # longer flag is added, as --strength would pass for --strengths
     p_rh = sub.add_parser("rh", help="end states from the jump conditions",
                           allow_abbrev=False)
-    common(p_rh, model=False)
+    common(p_rh, cmd_rh, model=False)
     p_rh.add_argument("--json", action="store_true",
                       help="write rh.json to the output directory")
 
     p_prof = sub.add_parser("profile", help="compute one dissipation profile",
                             allow_abbrev=False)
-    common(p_prof)
+    common(p_prof, cmd_profile)
 
     # one shock: rh and profile only, so scan refuses these flags
     for p in (p_rh, p_prof):
@@ -109,7 +113,7 @@ def build_parser():
 
     p_scan = sub.add_parser("scan", help="classify profiles over a grid",
                             allow_abbrev=False)
-    common(p_scan)
+    common(p_scan, cmd_scan)
     p_scan.add_argument("--strengths",
                         help="grid 'lo:hi:n' or comma list (default "
                              "0.05:0.95:19)")
@@ -121,8 +125,9 @@ def build_parser():
     p_caus.add_argument("--eta", type=fracfloat, default=1.0)
     p_caus.add_argument("--mu", type=fracfloat, required=True)
     p_caus.add_argument("--nu", type=fracfloat, required=True)
+    p_caus.set_defaults(run=cmd_causality)
 
-    return ap
+    return ap, sub.choices
 
 
 _CONFIG_MAP = {
@@ -140,58 +145,57 @@ _CONFIG_MAP = {
     ("output", "gnuplot"): "gnuplot",
 }
 
-_FLOAT_KEYS = {*COEFFICIENTS, "q0", "q1", "strength",
-               *(k for k, v in SETTINGS.items() if isinstance(v, float))}
 
-
-def apply_config(args):
-    """Fill argparse gaps from the INI file; flags keep priority.  A
-    section or key outside _CONFIG_MAP raises ValueError."""
-    if not getattr(args, "config", None):
-        return
+def apply_config(args, parser):
+    """Give parser, the subparser of args' command, the INI file's raw
+    text of each key that command has as that option's default; parsing
+    argv again converts it with the option's own type where its flag is
+    absent.  A section or key outside _CONFIG_MAP raises ValueError."""
     import configparser
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     read = cp.read(args.config)
     if not read:
         raise ValueError(f"config file not found: {args.config}")
     sections = {section for section, _ in _CONFIG_MAP}
+    defaults = {}
     for section in cp.sections():
         if section not in sections:
             raise ValueError(f"unknown config section [{section}]")
         for key in cp.options(section):
-            if (section, key) not in _CONFIG_MAP:
+            dest = _CONFIG_MAP.get((section, key))
+            if dest is None:
                 raise ValueError(
                     f"unknown config key {key!r} in [{section}]")
-    for (section, key), dest in _CONFIG_MAP.items():
-        if not cp.has_option(section, key):
-            continue
-        if getattr(args, dest, None) is not None:
-            continue
-        raw = cp.get(section, key)
-        if dest == "workers":
-            value = int(raw)
-        elif dest == "gnuplot":
-            value = cp.getboolean(section, key)
-        elif dest in _FLOAT_KEYS:
-            value = float(Fraction(raw))
-        else:
-            value = raw
-        if hasattr(args, dest):
-            setattr(args, dest, value)
+            if dest in vars(args):
+                defaults[dest] = cp.get(section, key)
+    if "gnuplot" in defaults:
+        # store_true takes no type, so argparse cannot convert this one
+        defaults["gnuplot"] = cp.getboolean("output", "gnuplot")
+    parser.set_defaults(**defaults)
+
+
+_REQUIRED = {
+    "eos": "an EOS is required (--eos or [eos] kind)",
+    "model": "a model is required (--model or [model] tag)",
+    "q1": "a momentum flux is required (--q1)",
+}
+
+
+def _require(args, *dests):
+    for dest in dests:
+        if getattr(args, dest) is None:
+            raise ValueError(_REQUIRED[dest])
 
 
 def _outdir(args):
-    out = getattr(args, "out", None) or "."
+    out = args.out or "."
     os.makedirs(out, exist_ok=True)
     return out
 
 
 def _make_shock(args):
-    if args.eos is None:
-        raise ValueError("an EOS is required (--eos or [eos] kind)")
+    _require(args, "eos", "q1")
     eos = make_eos(args.eos)
-    if args.q1 is None:
-        raise ValueError("a momentum flux is required (--q1)")
     if args.strength is not None and args.q0 is not None:
         raise ValueError("give either --strength or --q0, not both")
     if args.strength is not None:
@@ -204,12 +208,11 @@ def _make_shock(args):
 def _given(args, keys):
     """The options among keys that a flag or the config file set."""
     return {k: getattr(args, k) for k in keys
-            if getattr(args, k, None) is not None}
+            if getattr(args, k) is not None}
 
 
 def _make_model(args, eos):
-    if args.model is None:
-        raise ValueError("a model is required (--model or [model] tag)")
+    _require(args, "model")
     return make_model(args.model, eos, **_given(args, COEFFICIENTS))
 
 
@@ -266,12 +269,7 @@ def cmd_profile(args):
 
 def cmd_scan(args):
     from .scan import run_scan
-    if args.eos is None:
-        raise ValueError("an EOS is required (--eos or [eos] kind)")
-    if args.model is None:
-        raise ValueError("a model is required (--model or [model] tag)")
-    if args.q1 is None:
-        raise ValueError("a momentum flux is required (--q1)")
+    _require(args, "eos", "model", "q1")
     strengths = _grid(args.strengths or "0.05:0.95:19")
     result = run_scan(args.eos, args.model, _given(args, COEFFICIENTS),
                       [args.q1], strengths, workers=args.workers,
@@ -317,24 +315,18 @@ def _write_gp(out, stem, xlabel, ylabel, using):
 
 
 def main(argv=None):
+    parser, commands = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            apply_config(args, commands[args.command])
+            args = parser.parse_args(argv)
+        return args.run(args)
     except SystemExit as exc:
         # argparse exits 2 on a usage error, and 2 here means no shock
         if exc.code == 2:
             return EXIT_CONFIG
         raise
-    try:
-        apply_config(args)
-        if args.command == "rh":
-            return cmd_rh(args)
-        if args.command == "profile":
-            return cmd_profile(args)
-        if args.command == "scan":
-            return cmd_scan(args)
-        if args.command == "causality":
-            return cmd_causality(args)
-        raise AssertionError(args.command)
     except NoShock as exc:
         print(f"no shock: {exc}", file=sys.stderr)
         return EXIT_NOSHOCK

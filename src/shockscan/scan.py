@@ -165,11 +165,12 @@ def _pool_map(n, jobs):
 
 
 class ScanResult:
-    def __init__(self, eos_spec, model_tag, co, q1_values, strengths,
-                 records, wall_time):
+    def __init__(self, eos_spec, model_tag, co, settings, q1_values,
+                 strengths, records, wall_time):
         self.eos_spec = eos_spec
         self.model_tag = model_tag
         self.co = co
+        self.settings = settings
         self.q1_values = list(q1_values)
         self.strengths = list(strengths)
         self.records = records
@@ -220,6 +221,7 @@ class ScanResult:
             "eos": self.eos_spec,
             "model": self.model_tag,
             "coefficients": self.co,
+            "settings": self.settings,
             "q1_values": self.q1_values,
             "strengths": self.strengths,
             "records": len(self.records),
@@ -256,7 +258,7 @@ def run_scan(eos_spec, model_tag, co, q1_values, strengths,
     fatal; an invalid EOS, model or solver setting raises before any
     point runs.
     """
-    method = _default_settings(**overrides)["method"]
+    settings = _default_settings(**overrides)
     grid = [(float(q1), float(s)) for q1 in q1_values for s in strengths]
     if not grid:
         raise ValueError("empty scan grid")
@@ -269,12 +271,12 @@ def run_scan(eos_spec, model_tag, co, q1_values, strengths,
     if n == 1:
         records = [_scan_point(eos, model, overrides, *p) for p in grid]
     else:
-        if method == "LSODA":
+        if settings["method"] == "LSODA":
             # import scipy's LSODA here, so that workers forked by this
             # scan inherit it instead of each importing it
             import scipy.integrate  # noqa: F401
         blob = pickle.dumps((eos, model, overrides))
         records = _pool_map(n, [(blob, *p) for p in grid])
     wall = time.perf_counter() - t0
-    return ScanResult(eos_spec, model_tag, dict(co), q1_values, strengths,
-                      records, wall)
+    return ScanResult(eos_spec, model_tag, dict(co), settings, q1_values,
+                      strengths, records, wall)

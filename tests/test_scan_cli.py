@@ -431,6 +431,17 @@ def test_scan_summary_file(tmp_path):
     assert d["threshold_strength"] is None
 
 
+def test_scan_summary_names_its_settings():
+    # the resolved solver settings, defaults included, as profile.json
+    # records them; scan.csv does not carry them
+    res = run_scan("radiation", "ft-viscous", FT, [1.0], [0.5],
+                   method="LSODA", rtol=1e-9)
+    assert res.summary_dict()["settings"] == {
+        "rtol": 1e-9, "atol": 1e-12, "tol_conn": 1e-6, "method": "LSODA"}
+    assert small_scan().summary_dict()["settings"] == {
+        "rtol": 1e-10, "atol": 1e-12, "tol_conn": 1e-6, "method": "RK45"}
+
+
 # ------------------------------------------------------- CLI: rh
 
 def test_cli_rh_frozen(capsys):
@@ -807,6 +818,81 @@ def test_cli_flag_overrides_config(tmp_path):
     assert rc == 0
     d = json.loads((tmp_path / "profile.json").read_text())
     assert d["shock"]["strength"] == pytest.approx(0.7)
+
+
+def test_cli_config_reads_only_the_subcommands_keys(tmp_path, capsys):
+    # rh has no --workers and no --gnuplot, so it never reads those keys,
+    # however malformed; profile reads gnuplot and refuses that value
+    ini = tmp_path / "run.ini"
+    ini.write_text(CONFIG.format(out=tmp_path)
+                   + "gnuplot = maybe\n[scan]\nworkers = two\n")
+    assert main(["rh", "--config", str(ini)]) == 0
+    assert "rho_minus = 0.87867965644" in capsys.readouterr().out
+    assert main(["profile", "--config", str(ini)]) == 1
+    assert "Not a boolean: maybe" in capsys.readouterr().err
+    assert not (tmp_path / "profile.json").exists()
+
+
+def test_cli_config_value_is_converted_as_its_flag(tmp_path, capsys):
+    # a malformed file value fails as the same flag value would, under
+    # the flag's name; a flag given beside it leaves it unread
+    ini = tmp_path / "run.ini"
+    ini.write_text(CONFIG.format(out=tmp_path).replace("q1 = 3", "q1 = abc"))
+    assert main(["rh", "--config", str(ini)]) == 1
+    assert "argument --q1: not a number: 'abc'" in capsys.readouterr().err
+    assert main(["rh", "--config", str(ini), "--q1", "3"]) == 0
+
+
+def test_cli_flag_beats_config_for_each_type(tmp_path, monkeypatch):
+    # a float (--q1), an int (--workers) and a string (--method)
+    ini = tmp_path / "run.ini"
+    ini.write_text(CONFIG.format(out=tmp_path)
+                   + "[solver]\nmethod = LSODA\n"
+                   + "[scan]\nstrengths = 0.3\nworkers = 2\n")
+    assert main(["rh", "--config", str(ini), "--q1", "1", "--json"]) == 0
+    assert json.loads((tmp_path / "rh.json").read_text())["q1"] == 1.0
+    assert main(["rh", "--config", str(ini), "--json"]) == 0
+    assert json.loads((tmp_path / "rh.json").read_text())["q1"] == 3.0
+    workers, real = [], scan.run_scan
+
+    def spy(*args, **kw):
+        workers.append(kw["workers"])
+        return real(*args, **kw)
+    monkeypatch.setattr(scan, "run_scan", spy)
+    summary = tmp_path / "scan_summary.json"
+    assert main(["scan", "--config", str(ini),
+                 "--workers", "1", "--method", "RK45"]) == 0
+    assert json.loads(summary.read_text())["settings"]["method"] == "RK45"
+    assert main(["scan", "--config", str(ini)]) == 0
+    assert json.loads(summary.read_text())["settings"]["method"] == "LSODA"
+    assert workers == [1, 2]
+
+
+def test_cli_config_gnuplot(tmp_path):
+    ini = tmp_path / "run.ini"
+    ini.write_text(CONFIG.format(out=tmp_path) + "gnuplot = yes\n")
+    assert main(["profile", "--config", str(ini)]) == 0
+    assert (tmp_path / "profile.gp").exists()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["rh", "--eos", "radiation", "--q1", "3", "--strength", "0.5"], 0),
+    (["rh", "--eos", "radiation", "--q1", "abc", "--strength", "0.5"], 1),
+    (["rh", "--eos", "radiation", "--q1", "3", "--strength", "0"], 2),
+    # singular_matrix, in about 0.3 s
+    (["profile", "--eos", "radiation", "--q1", "1", "--strength", "0.99",
+      "--model", "bdn", "--mu", "30", "--nu", "3"], 3),
+    (["rh", "--config", "run.ini"], 0),
+], ids=["ok", "config", "noshock", "profile", "rh-config"])
+def test_console_entry_point_exit_codes(argv, code, tmp_path):
+    # python -m shockscan.cli in a fresh interpreter exits with main's
+    # code
+    (tmp_path / "run.ini").write_text(CONFIG.format(out=tmp_path))
+    src = os.path.dirname(os.path.dirname(scan.__file__))
+    run = subprocess.run([sys.executable, "-m", "shockscan.cli", *argv],
+                         env=dict(os.environ, PYTHONPATH=src), cwd=tmp_path,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == code, run.stderr
 
 
 def test_cli_eos_file(tmp_path, capsys):
