@@ -11,7 +11,7 @@ Options can come from an INI config file (--config) with sections
 [eos], [model], [shock], [solver], [scan], [output].  A file value
 becomes the raw default of its flag, so argparse converts it with the
 flag's own type, and only when the flag is absent: a flag wins, and a
-malformed value (but a gnuplot one) is reported under the flag's name.
+malformed value is reported under the flag's name, gnuplot's with its key.
 An unknown section or key is a configuration error; a key that only
 another subcommand reads is never read.  Numeric options accept
 fractions like 4/3.
@@ -57,11 +57,15 @@ def fracfloat(text):
 
 
 def _grid(text):
-    """Strength grid: 'lo:hi:n' (inclusive linspace) or a comma list."""
-    if ":" in text:
+    """The type of --strengths: 'lo:hi:n' (inclusive) or a comma list."""
+    if ":" not in text:
+        return [fracfloat(v) for v in text.split(",")]
+    try:
         lo, hi, n = text.split(":")
-        return linspace(float(Fraction(lo)), float(Fraction(hi)), int(n))
-    return [float(Fraction(v)) for v in text.split(",")]
+        return linspace(fracfloat(lo), fracfloat(hi), int(n))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not lo:hi:n with n a non-negative integer: {text!r}") from None
 
 
 def build_parser():
@@ -114,9 +118,9 @@ def build_parser():
     p_scan = sub.add_parser("scan", help="classify profiles over a grid",
                             allow_abbrev=False)
     common(p_scan, cmd_scan)
-    p_scan.add_argument("--strengths",
+    p_scan.add_argument("--strengths", type=_grid, default="0.05:0.95:19",
                         help="grid 'lo:hi:n' or comma list (default "
-                             "0.05:0.95:19)")
+                             "%(default)s)")
     p_scan.add_argument("--workers", type=int,
                         help="process count (default 1)")
 
@@ -170,7 +174,10 @@ def apply_config(args, parser):
                 defaults[dest] = cp.get(section, key)
     if "gnuplot" in defaults:
         # store_true takes no type, so argparse cannot convert this one
-        defaults["gnuplot"] = cp.getboolean("output", "gnuplot")
+        try:
+            defaults["gnuplot"] = cp.getboolean("output", "gnuplot")
+        except ValueError as exc:
+            raise ValueError(f"[output] gnuplot (--gnuplot): {exc}") from None
     parser.set_defaults(**defaults)
 
 
@@ -270,9 +277,8 @@ def cmd_profile(args):
 def cmd_scan(args):
     from .scan import run_scan
     _require(args, "eos", "model", "q1")
-    strengths = _grid(args.strengths or "0.05:0.95:19")
     result = run_scan(args.eos, args.model, _given(args, COEFFICIENTS),
-                      [args.q1], strengths, workers=args.workers,
+                      [args.q1], args.strengths, workers=args.workers,
                       **_given(args, SETTINGS))
     out = _outdir(args)
     cpath = os.path.join(out, "scan.csv")

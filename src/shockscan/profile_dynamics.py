@@ -279,7 +279,7 @@ def scalar_profile_ft(shock, co, **overrides):
     rho_mid = 0.5 * (rm + rp)
     cut_lo, cut_hi = rm + st["tol_conn"] * amp, rp - st["tol_conn"] * amp
 
-    def rhs(x, y):
+    def rhs(y):
         return [rho_prime(y[0])]
 
     kw = dict(method=st["method"], rtol=st["rtol"], atol=st["atol"] * amp)
@@ -341,8 +341,9 @@ def shoot_heteroclinic(shock, model, **overrides):
       * arclength budget or x horizon exhausted      -> no_connection
       * stalling short of every event                -> _diagnose_stall
 
-    The light cone and the singular locus, where planar_rhs is NaN, end
-    an orbit only by a stall.  A failed orbit reports its accepted steps
+    planar_rhs is integrated toward direction * X_MAX, so t is x.  The
+    light cone and the singular locus, where planar_rhs is NaN, end an
+    orbit only by a stall.  A failed orbit reports its accepted steps
     and arclength.  A connected orbit is oscillatory when the target is
     a spiral or the density samples are not monotone, and carries no
     reason.  A singular M at a rest state is singular_matrix at once.
@@ -390,18 +391,10 @@ def shoot_heteroclinic(shock, model, **overrides):
 
     tgt0, tgt1 = float(tgt[0]), float(tgt[1])
 
-    # the state y is (arclength, w0, w1)
-    def rhs(x, y):
-        d0, d1 = planar_rhs(y[1:], shock, model)
-        d0 *= direction
-        d1 *= direction
-        return math.hypot(d0, d1), d0, d1
-
     def events(x, y):
-        # (conn, rho, arc): the far state's tol_conn ball, the
-        # admissible densities and the arclength budget.  The arclength
-        # is a quadrature, outside the error test: it ends a run here
-        # but sets no step size.  Below rho_bar
+        # (conn, rho, arc) of y = (arclength, w0, w1): the far state's
+        # tol_conn ball, the admissible densities and the arclength
+        # budget, which ends a run but sets no step size.  Below rho_bar
         # psi0 - |psi1| = theta^-2 / (psi0 + |psi1|), so an orbit comes
         # within 1e-12 of the light cone only past psi0 + |psi1| =
         # 1e12 / theta_bar^2 (5.8e11 for radiation at q1 = 1), far
@@ -417,8 +410,9 @@ def shoot_heteroclinic(shock, model, **overrides):
                 y[0] - ARC_BUDGET * amp)
 
     y0 = np.array([0.0, src[0] + eps * v[0], src[1] + eps * v[1]])
-    sol = rk45.integrate(rhs, X_MAX, y0, events, st["rtol"], st["atol"],
-                         method=st["method"], quadratures=1)
+    sol = rk45.integrate(planar_rhs, direction * X_MAX, y0, events,
+                         st["rtol"], st["atol"], method=st["method"],
+                         args=(shock, model), arclength=True)
 
     # the event that ended the orbit, by name; None when none did
     ended = (None if sol.event is None
@@ -443,8 +437,8 @@ def shoot_heteroclinic(shock, model, **overrides):
                       "arclength budget exhausted" if ended == "arc"
                       else f"integrator stopped (status {sol.status})")
 
-    # order the samples by physical x, and classify
-    x = direction * sol.t
+    # order the samples by x, and classify
+    x = sol.t
     w = sol.y[1:].T
     if direction < 0.0:
         x, w = x[::-1], w[::-1]
@@ -458,8 +452,7 @@ def shoot_heteroclinic(shock, model, **overrides):
            else "connected_monotone")
     u1 = (w[:, 0] ** 2 - w[:, 1] ** 2) ** -0.5 * w[:, 1]
 
-    # dw/dx is planar_rhs along x, whichever way the shot ran; x = 0 at
-    # the midpoint density crossing, by translation invariance
+    # x = 0 at the midpoint density crossing, by translation invariance
     lo, mid, hi = (level_crossing(x, rho, f, shock, w, density,
                                   lambda y: planar_rhs(y, shock, model))
                    for f in (0.05, 0.5, 0.95))

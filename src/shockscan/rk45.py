@@ -1,41 +1,32 @@
 """One event loop over Python floats for the two integration methods.
 
-`integrate` runs dy/dt = fun(t, y) with events under RK45 or LSODA.  It
-takes accepted steps from a step source, evaluates the events, one
-function returning a tuple of floats, once per accepted step and ends
-the run at the earliest root: every event ends the run, as a terminal
-event of scipy's `solve_ivp` does, without `solve_ivp`'s per-step array
-work.  The Solution names the event that ended the run.
-
-Leading components of the state may be quadratures, as in CVODES: the
-vector field reads none of them, and they are stepped with the rest but
-left out of the error test.  The shot's arclength is one; it sets no
-step size.
+`integrate` runs the autonomous system dy/dt = fun(y, *args) with events
+under RK45 or LSODA, backward toward a negative t_bound.  It takes
+accepted steps from a step source, evaluates the events, one function
+returning a tuple of floats, once per accepted step and ends the run at
+the earliest root: every event ends the run, as a terminal event of
+scipy's `solve_ivp` does, without `solve_ivp`'s per-step array work.
+The Solution names the event that ended the run.  Under `arclength` the
+integrator also keeps the orbit's arclength, a quadrature outside the
+error test that sets no step size.
 
 RK45 steps come from the package's own Dormand-Prince 5(4) pair, the
 scheme of scipy's `RK45` step for step: the same tableau, initial step
-selection, step-size controller and step-size underflow rule.  Its
-error norm, and that of its initial step, is the RMS over the
-components in the error test.  It takes the same steps as
-`solve_ivp(method="RK45")` up to roundoff in the sums, when scipy's RMS
-norm runs over the same components.  Its states are lists of floats
-rather than arrays: for the two- and three-component profile systems
-numpy's per-call overhead on tiny vectors cost more than the arithmetic
-it carries out.
+selection, step-size controller and step-size underflow rule.  It takes
+the same steps as `solve_ivp(method="RK45")` up to roundoff in the sums
+when scipy's norms run over the same components.  Its states are lists
+of floats rather than arrays: for the two- and three-component profile
+systems numpy's per-call overhead on tiny vectors cost more than the
+arithmetic it carries out.
 
 LSODA, for stiff systems, is built as scipy's `LSODA` (tolerance
 checks, first step, tcrit = t_bound) and then stepped through its
 ODEPACK integrator, the call `LSODA.step` makes without the `OdeSolver`
-layers around it.  ODEPACK's norm is a max norm weighted by
-1/(atol + rtol |y|), and a quadrature's atol is QUADRATURE_ATOL.  Its
-dense output is built only when an event fires, and the run has the
-samples, status and event time that `solve_ivp` returns with the same
-atol, bit for bit, but for one exception: where ODEPACK accepts a
-step to a state that is not finite, LSODA ends with status -1 at the
-last finite sample.  Only an LSODA run imports `scipy.integrate`;
-events are located by the package's own `brentq`, so an RK45 run
-imports no scipy module.  numpy is imported when a run builds its
-sample arrays, so the solver settings below load without it.
+layers around it; its dense output is built only when an event fires.
+Only an LSODA run imports `scipy.integrate`; events are located by the
+package's own `brentq`, so an RK45 run imports no scipy module.  numpy
+is imported when a run builds its sample arrays, so the solver settings
+below load without it.
 """
 
 import functools
@@ -68,9 +59,9 @@ def _default_settings(**overrides):
     return s
 
 
-# Butcher tableau (C, A, B), error weights E and the quartic dense
-# output P of the Dormand-Prince pair, as in scipy.integrate.RK45
-C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+# Butcher tableau (A, B; autonomous fields need no C), error weights E
+# and the quartic dense output P of the Dormand-Prince pair, as in
+# scipy.integrate.RK45
 A = (
     (),
     (1 / 5,),
@@ -98,7 +89,7 @@ P = (
      69997945 / 29380423),
 )
 
-# LSODA's absolute tolerance for a quadrature.  ODEPACK weighs
+# LSODA's absolute tolerance for the arclength.  ODEPACK weighs
 # component i by 1/(atol_i + rtol |y_i|) in every norm it takes, so
 # this weight is as good as zero.  It must be finite: math.inf took
 # 17,885 steps on the test_02 ft-heat grid, where 1e6, 1e30, 1e100 and
@@ -125,22 +116,22 @@ def _rms(v):
     return math.sqrt(sum(x * x for x in v)) / len(v) ** 0.5
 
 
-def _initial_step(fun, y0, f0, t_bound, direction, rtol, atol, q):
+def _initial_step(fun, args, y0, f0, t_bound, direction, rtol, atol, q):
     """scipy's select_initial_step for an explicit order-4 error
     estimate, starting at t = 0 with no step limit, its RMS norms taken
-    over the components in the error test, all but the first q."""
+    over the components in the error test, y0[q:], whose field f0 is."""
     interval = abs(t_bound)
     scale = [atol + abs(v) * rtol for v in y0[q:]]
     d0 = _rms([v / s for v, s in zip(y0[q:], scale)])
-    d1 = _rms([v / s for v, s in zip(f0[q:], scale)])
+    d1 = _rms([v / s for v, s in zip(f0, scale)])
     if d0 < 1e-5 or d1 < 1e-5:
         h0 = 1e-6
     else:
         h0 = 0.01 * d0 / d1
     h0 = min(h0, interval)
     dh = h0 * direction
-    f1 = fun(dh, [v + dh * fv for v, fv in zip(y0, f0)])
-    d2 = _rms([(a - b) / s for a, b, s in zip(f1[q:], f0[q:], scale)]) / h0
+    f1 = fun([v + dh * fv for v, fv in zip(y0[q:], f0)], *args)
+    d2 = _rms([(a - b) / s for a, b, s in zip(f1, f0, scale)]) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -149,51 +140,60 @@ def _initial_step(fun, y0, f0, t_bound, direction, rtol, atol, q):
 
 
 @functools.cache
-def _stepper(n, q):
-    """The Dormand-Prince step for states of n components, the first q
-    of them quadratures.
+def _stepper(n, arclength):
+    """The Dormand-Prince step for states of n components, the first of
+    them the arclength when `arclength` is set.
 
-    step(fun, t, y, f, h, rtol, atol) takes one step of size h from
-    (t, y), f being fun(t, y), and returns (y_new, f_new, K, err).  K
-    holds the seven stage derivatives (the last is f_new); err is the
-    RMS norm, over components q to n - 1, of the embedded error estimate
+    step(fun, args, y, f, h, rtol, atol) takes one step of size h from
+    y and returns (y_new, f_new, K, err), f and f_new being fun(w, *args)
+    at y and y_new, w the components past the arclength.  K holds the
+    seven stage derivatives of y, the arclength's copysign(|dw/dt|, h),
+    so h times its weighted sum is |h| times that of the speeds, either
+    way.  err is the RMS norm, over w, of the embedded error estimate
     scaled by atol + rtol * max(|y|, |y_new|), NaN when a stage was NaN.
-    The quadratures are stepped by the same stages and have no say in
-    err.
 
     The source is generated from the tableau with every component
     written out, so that a stage costs no zip or list comprehension.
     Each sum runs over the tableau in order, leaving out the terms with
     a zero entry, and the tableau entries are written as float literals.
     """
+    q = 1 if arclength else 0
+
     def names(stem):
         return [f"{stem}_{i}" for i in range(n)]
-
-    def unpack(stem, value):
-        return f"    {', '.join(names(stem))}, = {value}"
 
     def combo(weights, i):
         return " + ".join(f"{w!r} * k{j}_{i}"
                           for j, w in enumerate(weights, 1) if w)
 
-    lines = ["def step(fun, t, y, f, h, rtol, atol):",
-             unpack("y", "y"), "    k1 = f", unpack("k1", "k1")]
+    def field(terms):
+        return f"fun([{', '.join(terms)}], *args)"
+
+    def stage(j, value):
+        ks = names(f"k{j}")
+        lines = [f"    {', '.join(ks[q:])}, = {value}"]
+        if q:
+            lines.append(f"    k{j}_0 = copysign(hypot("
+                         f"{', '.join(ks[1:])}), h)")
+        return lines
+
+    lines = ["def step(fun, args, y, f, h, rtol, atol):",
+             f"    {', '.join(names('y'))}, = y", *stage(1, "f")]
     for j in range(2, 7):
-        at = "t + h" if C[j - 1] == 1.0 else f"t + {C[j - 1]!r} * h"
-        ys = ", ".join(f"y_{i} + ({combo(A[j - 1], i)}) * h"
-                       for i in range(n))
-        lines += [f"    k{j} = fun({at}, [{ys}])", unpack(f"k{j}", f"k{j}")]
+        lines += stage(j, field(f"y_{i} + ({combo(A[j - 1], i)}) * h"
+                                for i in range(q, n)))
     lines += [f"    n_{i} = y_{i} + h * ({combo(B, i)})" for i in range(n)]
-    lines += [f"    y_new = [{', '.join(names('n'))}]",
-              "    k7 = fun(t + h, y_new)", unpack("k7", "k7")]
+    lines += stage(7, field(names("n")[q:]))
     for i in range(q, n):
         lines += [f"    v, vn = abs(y_{i}), abs(n_{i})",
                   f"    x_{i} = (({combo(E, i)}) * h"
                   f" / (atol + (v if v > vn else vn) * rtol))"]
     squares = " + ".join(f"x_{i} * x_{i}" for i in range(q, n))
+    stages = ", ".join(f"({', '.join(names(f'k{j}'))},)" for j in range(1, 8))
     lines += [f"    err = sqrt({squares}) / {(n - q) ** 0.5!r}",
-              "    return y_new, k7, (k1, k2, k3, k4, k5, k6, k7), err"]
-    namespace = {"sqrt": math.sqrt}
+              f"    return ([{', '.join(names('n'))}],"
+              f" ({', '.join(names('k7')[q:])},), ({stages}), err)"]
+    namespace = dict(sqrt=math.sqrt, hypot=math.hypot, copysign=math.copysign)
     exec(compile("\n".join(lines), f"<rk45 step, n={n}, q={q}>", "exec"),
          namespace)
     return namespace["step"]
@@ -214,9 +214,9 @@ def _dense_output(t_old, h, y_old, K):
     return y_at
 
 
-def _dormand_prince(fun, t_bound, y, rtol, atol, q):
-    """Accepted Dormand-Prince 5(4) steps from (0, y) toward t_bound,
-    the first q components of y quadratures, outside the error test.
+def _dormand_prince(fun, t_bound, y, rtol, atol, args=(), arclength=False):
+    """Accepted Dormand-Prince 5(4) steps of dy/dt = fun(y, *args) from
+    (0, y) toward t_bound, y leading with the arclength under `arclength`.
 
     Yields (t, y, data) per accepted step, _dense_output(*data) being
     the quartic interpolant over it, and stops early when the step size
@@ -224,11 +224,12 @@ def _dormand_prince(fun, t_bound, y, rtol, atol, q):
     not < 1), so a vector field that poisons points outside its domain
     shrinks the step instead of leaving the domain.
     """
+    q = 1 if arclength else 0
     direction = 1.0 if t_bound > 0.0 else -1.0
     t = 0.0
-    f = fun(t, y)
-    h_abs = _initial_step(fun, y, f, t_bound, direction, rtol, atol, q)
-    step = _stepper(len(y), q)
+    f = fun(y[q:], *args)
+    h_abs = _initial_step(fun, args, y, f, t_bound, direction, rtol, atol, q)
+    step = _stepper(len(y), arclength)
     while direction * (t - t_bound) < 0:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         if h_abs < min_step:
@@ -242,7 +243,7 @@ def _dormand_prince(fun, t_bound, y, rtol, atol, q):
                 t_new = t_bound
             h = t_new - t
             h_abs = abs(h)
-            y_new, f_new, K, err = step(fun, t, y, f, h, rtol, atol)
+            y_new, f_new, K, err = step(fun, args, y, f, h, rtol, atol)
             if err < 1:
                 if err == 0:
                     factor = MAX_FACTOR
@@ -315,32 +316,30 @@ def _lsoda_dense_output(solver, t_old, t):
 
 
 def integrate(fun, t_bound, y0, events, rtol, atol, method="RK45",
-              quadratures=0):
-    """Integrate dy/dt = fun(t, y) from t = 0 toward t_bound (either
-    sign) with RK45 or LSODA.
+              args=(), arclength=False):
+    """Integrate the autonomous system dy/dt = fun(y, *args) from t = 0
+    toward t_bound, backward when it is negative, with RK45 or LSODA.
 
-    fun takes t and y as a list of floats and returns a sequence of
-    floats, whatever the method.  events(t, y) returns a tuple of
-    floats, one per event, and is evaluated once per accepted sample.
-    Every event ends the run: after each accepted step the events whose
-    sign changed (g <= 0 then >= 0, or the reverse, as in solve_ivp) are
-    located by brentq on the step's dense output, and the earliest root
-    along the direction of integration ends the run as its last sample,
-    the lower event index winning a tie.  Returns a Solution.
+    fun takes y as a list of floats and returns a sequence of floats,
+    whatever the method.  events(t, y) returns a tuple of floats, one
+    per event, and is evaluated once per accepted sample.  Every event
+    ends the run: after each accepted step the events whose sign changed
+    (g <= 0 then >= 0, or the reverse, as in solve_ivp) are located by
+    brentq on the step's dense output, and the earliest root along the
+    direction of integration ends the run as its last sample, the lower
+    event index winning a tie.  Returns a Solution.
 
-    The first `quadratures` components of y are quadratures, as in
-    CVODES: fun reads none of them, and they are stepped with the
-    others, by the same stages or the same ODEPACK steps, but left out
-    of the error test, so they set no step size.  RK45 takes the RMS
-    norm of its error estimate, and of its initial step selection, over
-    the other m components, dividing by sqrt(m).  LSODA, whose norm is
-    a weighted max norm, gives them the absolute tolerance
-    QUADRATURE_ATOL.  They lead the state for LSODA's sake: the columns
-    of its Newton matrix I - h l0 J that belong to them are then unit
-    columns ahead of the others, so partial pivoting takes their rows
-    first, with zero multipliers, and factors the other rows alone.
-    Trailing, a quadrature's row could be chosen as a pivot, and its
-    integrand would move the other components in the last bits.
+    With `arclength`, y[0] is the arclength of the orbit of y[1:], the
+    components fun reads, and its derivative is sign(h) |fun(y[1:])|,
+    from the same stages or LSODA callback, so it grows either way.  It
+    is a quadrature, as in CVODES: outside the error test, so it sets no
+    step size.  RK45 takes its RMS norms over the other m components,
+    dividing by sqrt(m); LSODA's norm is a weighted max norm, in which
+    its absolute tolerance QUADRATURE_ATOL weighs it out.  It leads the
+    state for LSODA's sake: its column of the Newton matrix I - h l0 J
+    is then a unit column, so partial pivoting takes its row first, with
+    zero multipliers, and factors the other rows alone.  Trailing, its
+    row could be chosen as a pivot and move the others in the last bits.
 
     Under LSODA the samples, status and event time are those of
     solve_ivp given the same atol, bit for bit, with one exception: the
@@ -353,16 +352,18 @@ def integrate(fun, t_bound, y0, events, rtol, atol, method="RK45",
     # steps yield (t, y, data); interpolant(*data) is the dense output
     # over the step, built only when an event fires
     if method == "RK45":
-        steps = _dormand_prince(fun, t_bound, y, rtol, atol, quadratures)
+        steps = _dormand_prince(fun, t_bound, y, rtol, atol, args,
+                                arclength)
         interpolant = _dense_output
     elif method == "LSODA":
         from scipy.integrate import LSODA
+        q = 1 if arclength else 0
 
         def f(t, y):
-            return fun(t, y.tolist())
-        if quadratures:
-            atol = ([QUADRATURE_ATOL] * quadratures
-                    + [atol] * (len(y) - quadratures))
+            d = fun(y.tolist()[q:], *args)
+            return (math.copysign(math.hypot(*d), direction), *d) if q else d
+        if arclength:
+            atol = [QUADRATURE_ATOL] + [atol] * (len(y) - 1)
         solver = LSODA(f, t, y0, t_bound, rtol=rtol, atol=atol)
         steps = _lsoda_steps(solver, f)
         interpolant = _lsoda_dense_output

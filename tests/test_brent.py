@@ -65,10 +65,10 @@ def test_pressure_inversion_matches_scipy():
 def test_event_on_dense_output_matches_scipy():
     # levels crossed inside Dormand-Prince steps of a damped oscillator,
     # located on each step's quartic interpolant as integrate does
-    def fun(t, y):
+    def fun(y):
         return [y[1], -y[0] - 0.1 * y[1]]
     n = 0
-    steps = rk45._dormand_prince(fun, 30.0, [1.0, 0.0], 1e-8, 1e-10, 0)
+    steps = rk45._dormand_prince(fun, 30.0, [1.0, 0.0], 1e-8, 1e-10)
     for t_new, y_new, (t_old, h, y_old, K) in steps:
         y_at = rk45._dense_output(t_old, h, y_old, K)
         lo, hi = sorted((y_old[0], y_new[0]))

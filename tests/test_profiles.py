@@ -653,29 +653,34 @@ def test_oscillation_detect():
 # other method steps scipy's own solver
 
 def solve_ivp_oracle(fun, t_bound, y0, events, rtol, atol, method="RK45",
-                     quadratures=0):
+                     args=(), arclength=False):
     """rk45.integrate's contract, run by solve_ivp: the tuple events
     returns split into one terminal event per component, so that
-    solve_ivp ends the run on each of them.  The first `quadratures`
-    components get the absolute tolerance rk45.QUADRATURE_ATOL, and the
-    RMS norm of scipy's RK45 (of its error estimate and of its initial
-    step selection) runs over the others only, while the run lasts."""
+    solve_ivp ends the run on each of them.  With `arclength` the
+    leading component's derivative is sign(t_bound) |fun(y[1:], *args)|,
+    it gets the absolute tolerance rk45.QUADRATURE_ATOL, and the RMS
+    norm of scipy's RK45 (of its error estimate and of its initial step
+    selection) runs over the others only, while the run lasts."""
     def terminal(i):
         def g(t, y):
             return events(t, y)[i]
         g.terminal = True
         return g
     n = len(events(0.0, y0))
-    m = len(y0) - quadratures
-    if quadratures:
-        atol = [rk45.QUADRATURE_ATOL] * quadratures + [atol] * m
+    q = 1 if arclength else 0
+    m = len(y0) - q
+    if arclength:
+        atol = [rk45.QUADRATURE_ATOL] + [atol] * m
+
+    def field(t, y):
+        d = fun(y.tolist()[q:], *args)
+        return [math.copysign(math.hypot(*d), t_bound), *d] if q else d
 
     def controlled_norm(x):
-        return np.linalg.norm(x[quadratures:]) / m ** 0.5
+        return np.linalg.norm(x[q:]) / m ** 0.5
     with mock.patch.object(ivp_rk, "norm", controlled_norm), \
             mock.patch.object(ivp_common, "norm", controlled_norm):
-        return solve_ivp(lambda t, y: fun(t, y.tolist()), (0.0, t_bound),
-                         y0, method=method,
+        return solve_ivp(field, (0.0, t_bound), y0, method=method,
                          events=[terminal(i) for i in range(n)],
                          rtol=rtol, atol=atol)
 
@@ -693,90 +698,93 @@ def fired(ref):
 
 
 def solve_ivp_integrate(fun, t_bound, y0, events, rtol, atol,
-                        method="RK45", quadratures=0):
+                        method="RK45", args=(), arclength=False):
     """solve_ivp_oracle as a drop-in rk45.integrate, the result a
     Solution."""
     ref = solve_ivp_oracle(fun, t_bound, y0, events, rtol, atol, method,
-                           quadratures)
+                           args, arclength)
     return rk45.Solution(ref.t, ref.y, ref.status, fired(ref))
 
 
 def _shot_fun(shock):
-    # the shot's state: covariant w and the arclength travelled
+    # covariant w and, trailing, the arclength travelled, in the error
+    # test: the field computes the arclength's integrand itself
     m = make_model("ft-heat", RAD, eta=1.0, chi=0.5)
     w = 0.5 * (shock.state_minus.cov + shock.state_plus.cov)
     w[1] += 0.1
 
-    def fun(t, y):
+    def fun(y):
         d0, d1 = planar_rhs(y, shock, m)
         return d0, d1, math.hypot(d0, d1)
-    return fun, [*w.tolist(), 0.2]
+    return fun, (), False, [*w.tolist(), 0.2]
 
 
 def _shot_arclength_fun(shock):
-    # the shot's state as the shot lays it out: the arclength, a
-    # quadrature, leads covariant w
-    fun, (w0, w1, arc) = _shot_fun(shock)
-
-    def lead(t, y):
-        d0, d1, speed = fun(t, y[1:])
-        return speed, d0, d1
-    return lead, [arc, w0, w1]
+    # the shot's state as the shot lays it out: the arclength, kept by
+    # the integrator outside the error test, leads covariant w
+    fun, _, _, (w0, w1, arc) = _shot_fun(shock)
+    m = make_model("ft-heat", RAD, eta=1.0, chi=0.5)
+    return planar_rhs, (shock, m), True, [arc, w0, w1]
 
 
 def _quadrature_fun(shock):
     # one component, returned as a list like the scalar quadrature's
-    def fun(t, y):
-        return [(1.0 - y[0] * y[0]) * (2.0 + math.cos(t))]
-    return fun, [0.3]
+    def fun(y):
+        return [(1.0 - y[0] * y[0]) * (2.0 + math.cos(3.0 * y[0]))]
+    return fun, (), False, [0.3]
 
 
-@pytest.mark.parametrize("make_fun, quadratures", [
-    (_shot_fun, 0), (_quadrature_fun, 0), (_shot_arclength_fun, 1),
+@pytest.mark.parametrize("make_fun", [
+    _shot_fun, _quadrature_fun, _shot_arclength_fun,
 ], ids=["shot", "quadrature", "shot-arclength"])
-def test_rk45_step_matches_scipy(shock_rad, make_fun, quadratures):
+def test_rk45_step_matches_scipy(shock_rad, make_fun):
     # shot-arclength: the arclength is a quadrature, outside the error
-    # norm, whose RMS runs over w alone
-    fun, y = make_fun(shock_rad)
-    step = rk45._stepper(len(y), quadratures)
+    # norm, whose RMS runs over w alone; its stage derivative takes the
+    # sign of h
+    fun, args, arclength, y = make_fun(shock_rad)
+    q = 1 if arclength else 0
+    step = rk45._stepper(len(y), arclength)
     rtol, atol = 1e-10, 1e-12
-    f = fun(0.0, y)
+    f = fun(y[q:], *args)
     for h in (1e-3, 1e-2, -0.05):
-        y_new, f_new, K, err = step(fun, 0.3, y, f, h, rtol, atol)
+        def full(v):
+            d = fun(v[q:], *args)
+            return [math.copysign(math.hypot(*d), h), *d] if q else d
+        y_new, f_new, K, err = step(fun, args, y, f, h, rtol, atol)
         Kr = np.empty((RK45.n_stages + 1, len(y)))
-        yr, fr = rk_step(lambda t, v: np.array(fun(t, v.tolist())), 0.3,
-                         np.array(y), np.array(f), h, RK45.A, RK45.B,
+        yr, fr = rk_step(lambda t, v: np.array(full(v.tolist())), 0.3,
+                         np.array(y), np.array(full(y)), h, RK45.A, RK45.B,
                          RK45.C, Kr)
         # relative to the largest entry (max norm)
-        for got, want in ((y_new, yr), (f_new, fr), (K, Kr)):
+        for got, want in ((y_new, yr), (f_new, fr[q:]), (K, Kr)):
             gap = np.abs(np.asarray(got) - want).max()
             assert gap <= 1e-14 * np.abs(want).max(), h
         # the error estimate sums terms that nearly cancel (E sums to
         # 0), so it is compared relative to the size of those terms
         scale = atol + np.maximum(np.abs(y), np.abs(yr)) * rtol
-        err_ref = norm((np.dot(Kr.T, RK45.E) * h / scale)[quadratures:])
+        err_ref = norm((np.dot(Kr.T, RK45.E) * h / scale)[q:])
         terms = norm((np.dot(np.abs(Kr.T), np.abs(RK45.E)) * abs(h)
-                      / scale)[quadratures:])
+                      / scale)[q:])
         assert 0.0 < err and abs(err - err_ref) <= 1e-14 * terms, h
 
 
 def test_rk45_step_dimensions(shock_rad, monkeypatch):
-    # the shot integrates (arclength, w), the arclength a quadrature
-    # outside the error test, the scalar quadrature rho alone; both run
-    # the step that test_rk45_step_matches_scipy pins
+    # the shot integrates (arclength, w), the arclength kept by the
+    # integrator outside the error test, the scalar quadrature rho
+    # alone; both run the step that test_rk45_step_matches_scipy pins
     asked = []
 
-    def spy(n, q):
-        asked.append((n, q))
-        return stepper(n, q)
+    def spy(n, arclength):
+        asked.append((n, arclength))
+        return stepper(n, arclength)
     stepper = rk45._stepper
     monkeypatch.setattr(rk45, "_stepper", spy)
     model = make_model("bdn", RAD, eta=1.0, mu=4.0 / 3.0, nu=4.0)
     assert shoot_heteroclinic(shock_from_strength(RAD, 1.0, 0.5),
                               model).connected
-    assert asked == [(3, 1)]
+    assert asked == [(3, True)]
     assert scalar_profile_ft(shock_rad, FtCoefficients(1.0)).connected
-    assert asked == [(3, 1), (1, 0), (1, 0)]
+    assert asked == [(3, True), (1, False), (1, False)]
 
 
 @pytest.mark.parametrize("s", [0.05, 0.3, 0.6, 0.98])
@@ -803,26 +811,61 @@ def test_rk45_bdn_shot_matches_scipy(s, monkeypatch):
 ], ids=["RK45", "LSODA"])
 def test_shot_arclength_is_outside_the_error_test(tag, co, q1, kw,
                                                   monkeypatch):
-    # the arclength integrand times 1e6 (and the budget with it) moves
-    # no step: the same steps and the same w samples, to the last bit
+    # the shot run without its arclength, on w alone, takes the same
+    # steps to the same w samples, to the last bit
     sd = shock_from_strength(RAD, q1, 0.5)
     m = make_model(tag, RAD, **co)
     want = shoot_heteroclinic(sd, m, **kw)
     integrate = rk45.integrate
 
-    def scaled_integrate(fun, *args, **kwargs):
-        def scaled(t, y):
-            speed, d0, d1 = fun(t, y)
-            return 1e6 * speed, d0, d1
-        return integrate(scaled, *args, **kwargs)
-    monkeypatch.setattr(rk45, "integrate", scaled_integrate)
-    monkeypatch.setattr(profile_dynamics, "ARC_BUDGET",
-                        1e6 * profile_dynamics.ARC_BUDGET)
+    def without_arclength(fun, t_bound, y0, events, *args, arclength,
+                          **kwargs):
+        assert arclength
+        sol = integrate(fun, t_bound, y0[1:],
+                        lambda t, w: events(t, [0.0, *w]), *args,
+                        **kwargs)
+        return sol._replace(y=np.vstack([np.zeros_like(sol.t), sol.y]))
+    monkeypatch.setattr(rk45, "integrate", without_arclength)
     got = shoot_heteroclinic(sd, m, **kw)
     assert want.connected and got.classification == want.classification
     assert got.n_steps == want.n_steps
     assert np.array_equal(got.x, want.x) and np.array_equal(got.w, want.w)
-    assert got.arclength == pytest.approx(1e6 * want.arclength, rel=1e-6)
+    assert got.width == want.width
+    assert got.arclength == 0.0 < want.arclength
+
+
+@pytest.mark.parametrize("method", rk45.METHODS)
+@pytest.mark.parametrize("tag, co", [
+    ("bdn", dict(eta=1.0, mu=4.0 / 3.0, nu=4.0)),
+    ("ft-heat", dict(eta=1.0, chi=0.5)),
+], ids=["bdn-forward", "ft-heat-backward"])
+def test_backward_run_is_the_negated_field_forward(tag, co, method):
+    # the shot runs backward toward -X_MAX on planar_rhs itself; that is
+    # the negated field run forward, to the last bit: the same samples
+    # (t negated), arclength, status, event and event time.  The BDN
+    # shot runs forward, the ft-heat shot backward
+    sd = shock_from_strength(RAD, 1.0, 0.5)
+    m = make_model(tag, RAD, **co)
+    w = 0.5 * (sd.state_minus.cov + sd.state_plus.cov)
+    y0 = [0.0, *w.tolist()]
+    amp = sd.amplitude
+
+    def negated(w, shock, model):
+        d0, d1 = planar_rhs(w, shock, model)
+        return -d0, -d1
+    for budget in (0.1 * amp, 1e3):
+        def events(t, y):
+            return (y[0] - budget,)
+        back = rk45.integrate(planar_rhs, -50.0, y0, events, 1e-10, 1e-12,
+                              method=method, args=(sd, m), arclength=True)
+        fwd = rk45.integrate(negated, 50.0, y0, events, 1e-10, 1e-12,
+                             method=method, args=(sd, m), arclength=True)
+        assert back.t.size > 2
+        assert np.array_equal(back.t, -fwd.t)
+        assert np.array_equal(back.y, fwd.y)
+        assert back.y[0, -1] > 0.0
+        assert (back.status, back.event) == (fwd.status, fwd.event)
+        assert back.status == (1 if budget < 1.0 else 0)
 
 
 def test_strong_bdn_shot_ends_fast():
@@ -852,7 +895,7 @@ def test_rk45_backward_scalar_run_matches_scipy(shock_rad, monkeypatch):
     assert np.allclose(got.x, want.x, rtol=1e-6, atol=0.0)
 
 
-def _nan_past_one(t, y):
+def _nan_past_one(y):
     # a vector field defined only for y < 1, poisoned outside
     return (1.0,) if y[0] < 1.0 else (math.nan,)
 
@@ -860,10 +903,10 @@ def _nan_past_one(t, y):
 def test_rk45_rejects_nan_trial_step():
     poisoned = []
 
-    def fun(t, y):
-        f = _nan_past_one(t, y)
+    def fun(y):
+        f = _nan_past_one(y)
         if math.isnan(f[0]):
-            poisoned.append(t)
+            poisoned.append(y[0])
         return f
 
     def ev(t, y):
@@ -892,9 +935,9 @@ def test_rk45_status_codes():
     assert sol.t.size == ref.t.size
     assert 1.0 - 1e-12 < sol.y[0, -1] < 1.0
     # 0: a backward run reaches t_bound with no event
-    sol = rk45.integrate(lambda t, y: [-y[0]], -3.0, [1.0], no_events,
+    sol = rk45.integrate(lambda y: [-y[0]], -3.0, [1.0], no_events,
                          1e-10, 1e-12)
-    ref = solve_ivp_oracle(lambda t, y: [-y[0]], -3.0, [1.0], no_events,
+    ref = solve_ivp_oracle(lambda y: [-y[0]], -3.0, [1.0], no_events,
                            1e-10, 1e-12)
     assert sol.status == ref.status == 0
     assert sol.t[-1] == -3.0 and sol.t.size == ref.t.size
@@ -925,7 +968,7 @@ def test_lsoda_without_its_private_names_fails_clearly(monkeypatch):
     want = (f"scipy {re.escape(scipy.__version__)} has no "
             r"LSODA\._lsoda_solver")
     with pytest.raises(RuntimeError, match=want):
-        rk45.integrate(lambda t, y: [-y[0]], 1.0, [1.0], no_events, 1e-9,
+        rk45.integrate(lambda y: [-y[0]], 1.0, [1.0], no_events, 1e-9,
                        1e-11, method="LSODA")
 
 
@@ -938,9 +981,9 @@ def test_integrate_runs_only_rk45_and_lsoda():
 
 
 @pytest.mark.parametrize("fun, y0, tol", [
-    (lambda t, y: [1.0], 0.0, (1e-10, 1e-12)),       # h0 = 1e-6
-    (lambda t, y: [1e3], 1.0, (1e-3, 1e-6)),         # 100 h0
-    (lambda t, y: [-y[0]], 1.0, (1e-10, 1e-12)),     # from the curvature
+    (lambda y: [1.0], 0.0, (1e-10, 1e-12)),       # h0 = 1e-6
+    (lambda y: [1e3], 1.0, (1e-3, 1e-6)),         # 100 h0
+    (lambda y: [-y[0]], 1.0, (1e-10, 1e-12)),     # from the curvature
 ], ids=["from-zero", "hundred-h0", "curvature"])
 def test_rk45_initial_step_matches_scipy(fun, y0, tol):
     # each branch of the initial step selection
@@ -955,7 +998,7 @@ def _far_near(direction):
     def far_near(t, y):
         return (y[0] - 0.5 * direction, y[0] - 0.4 * direction)
 
-    def fun(t, y):
+    def fun(y):
         return [1.0]
     return fun, 10.0 * direction, [0.0], far_near
 
@@ -963,7 +1006,7 @@ def _far_near(direction):
 def _shot_run(direction):
     # the ft-heat shot of _shot_fun: forward it ends on an arclength
     # event, backward it reaches t_bound
-    fun, y0 = _shot_fun(shock_from_strength(RAD, 3.0, 0.5))
+    fun, _, _, y0 = _shot_fun(shock_from_strength(RAD, 3.0, 0.5))
 
     def arc(t, y):
         return (y[2] - 0.6,)

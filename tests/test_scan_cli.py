@@ -723,6 +723,25 @@ def test_cli_scan_grid_counts(tmp_path, capsys):
     assert "empty scan grid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid, expect", [
+    ("0.2:0.8", "not lo:hi:n with n a non-negative integer: '0.2:0.8'"),
+    ("abc", "not a number: 'abc'"),
+    ("0.2:0.8:x", "not lo:hi:n with n a non-negative integer: '0.2:0.8:x'"),
+], ids=["two-fields", "word", "count"])
+def test_cli_malformed_grid_names_strengths(tmp_path, capsys, grid, expect):
+    # from the flag and from [scan] strengths alike, a malformed grid is
+    # reported under --strengths, and nothing is solved
+    base = ["scan", "--eos", "radiation", "--model", "ft-viscous",
+            "--q1", "3", "--out", str(tmp_path)]
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[scan]\nstrengths = {grid}\n")
+    for argv in (base + ["--strengths", grid],
+                 base + ["--config", str(ini)]):
+        assert main(argv) == 1
+        assert f"argument --strengths: {expect}\n" in capsys.readouterr().err
+    assert not (tmp_path / "scan.csv").exists()
+
+
 def test_cli_scan_missing_model(capsys):
     assert main(["scan", "--eos", "radiation", "--q1", "3"]) == 1
 
@@ -831,6 +850,16 @@ def test_cli_config_reads_only_the_subcommands_keys(tmp_path, capsys):
     assert main(["profile", "--config", str(ini)]) == 1
     assert "Not a boolean: maybe" in capsys.readouterr().err
     assert not (tmp_path / "profile.json").exists()
+
+
+def test_cli_config_gnuplot_not_a_boolean_names_key_and_flag(tmp_path,
+                                                             capsys):
+    ini = tmp_path / "run.ini"
+    ini.write_text(CONFIG.format(out=tmp_path) + "gnuplot = maybe\n")
+    for command in ("profile", "scan"):
+        assert main([command, "--config", str(ini)]) == 1
+        assert capsys.readouterr().err == (
+            "error: [output] gnuplot (--gnuplot): Not a boolean: maybe\n")
 
 
 def test_cli_config_value_is_converted_as_its_flag(tmp_path, capsys):
