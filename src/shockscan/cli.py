@@ -18,8 +18,9 @@ fractions like 4/3.
 
 Exit codes: 0 success (end states found, profile connected, scan or
 classification completed); 1 configuration error (bad flags, malformed
-config, model/EOS mismatch, an ft tensor with sigma <= 0 at the shock,
-empty grid); 2 no shock for the requested fluxes; 3 profile failure
+config, an unreadable EOS file, an output directory that cannot be made
+or written, model/EOS mismatch, an ft tensor with sigma <= 0 at the
+shock, empty grid); 2 no shock for the requested fluxes; 3 profile failure
 classification (no_connection, escaped_domain, singular_matrix).
 
 rh, causality and everything before a solve run without numpy: the
@@ -157,7 +158,12 @@ def apply_config(args, parser):
     absent.  A section or key outside _CONFIG_MAP raises ValueError."""
     import configparser
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = cp.read(args.config)
+    try:
+        read = cp.read(args.config)
+    except configparser.Error as exc:
+        # a duplicate key or a missing section header, on one line
+        raise ValueError(f"malformed config file {args.config}: "
+                         + " ".join(str(exc).split())) from None
     if not read:
         raise ValueError(f"config file not found: {args.config}")
     sections = {section for section, _ in _CONFIG_MAP}
@@ -336,7 +342,9 @@ def main(argv=None):
     except NoShock as exc:
         print(f"no shock: {exc}", file=sys.stderr)
         return EXIT_NOSHOCK
-    except (EosError, CausalityError, ValueError) as exc:
+    except (EosError, CausalityError, ValueError, OSError) as exc:
+        # an OSError comes from making or writing the output
+        # directory, and names its path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -303,8 +303,13 @@ def make_eos(spec):
         return MonomialEos(1, k)
     if spec.startswith("file:"):
         path = spec.split(":", 1)[1]
-        with open(path) as fh:
-            return parse_eos_expression(fh.read())
+        try:
+            with open(path) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise EosError(f"cannot read EOS file {path!r}: "
+                           f"{exc.strerror}") from None
+        return parse_eos_expression(text)
     raise EosError(f"unknown EOS spec {spec!r}")
 
 

@@ -15,7 +15,7 @@ Classification vocabulary used throughout:
     connected_monotone      orbit reaches the far state, rho monotone
     connected_oscillatory   orbit reaches the far state spiralling
     no_connection           no saddle to shoot from, or budget exhausted
-    escaped_domain          orbit leaves psi0 > |psi1| or rho in (0, rho_bar)
+    escaped_domain          orbit leaves 0 < rho < rho_bar
     singular_matrix         det M(psi) vanished along the orbit
 """
 
@@ -247,8 +247,10 @@ def scalar_profile_ft(shock, co, **overrides):
     g that is not unimodal (q_max warns) can dip below r in between,
     and a sampled sign check refuses that as no_connection.
     Integration starts at the midpoint density (x = 0) and runs both
-    ways until rho is within tol_conn * amplitude of the end states.
-    Requires co.chi = 0.
+    ways until rho is within tol_conn * amplitude of the end states,
+    amplitude = rho_plus - rho_minus.  So the cut-offs and the endpoint
+    errors are |rho - rho_end| / amplitude, not the shot's distances
+    between covariant states.  Requires co.chi = 0.
     """
     eos = shock.eos
     model = DissipationModel("ft-viscous", co, eos)
@@ -339,14 +341,17 @@ def shoot_heteroclinic(shock, model, **overrides):
       * entering the tol_conn ball of the far state  -> connected
       * leaving 0 < rho < rho_bar                    -> escaped_domain
       * arclength budget or x horizon exhausted      -> no_connection
-      * stalling short of every event                -> _diagnose_stall
+      * stalling short of every event                -> singular_matrix
+        or no_connection, as _diagnose_stall finds
 
-    planar_rhs is integrated toward direction * X_MAX, so t is x.  The
-    light cone and the singular locus, where planar_rhs is NaN, end an
-    orbit only by a stall.  A failed orbit reports its accepted steps
-    and arclength.  A connected orbit is oscillatory when the target is
-    a spiral or the density samples are not monotone, and carries no
-    reason.  A singular M at a rest state is singular_matrix at once.
+    The tol_conn ball and the endpoint errors are distances between
+    covariant states w, over ||w_plus - w_minus||.  planar_rhs is
+    integrated toward direction * X_MAX, so t is x.  The light cone and
+    the singular locus, where planar_rhs is NaN, end an orbit only by a
+    stall.  A failed orbit reports its accepted steps and arclength.
+    A connected orbit is oscillatory when the target is a spiral or the
+    density samples are not monotone, and carries no reason.  A
+    singular M at a rest state is singular_matrix at once.
     Raises ValueError when the model is bound to another EOS than the
     shock.
     """
@@ -428,7 +433,7 @@ def shoot_heteroclinic(shock, model, **overrides):
         # RK45's step size underflowed, or LSODA ended at its last
         # finite state, without reaching any event: find out why
         return failed(*_diagnose_stall(sol.y[1:, -1], direction, shock,
-                                       model, rho_floor, amp))
+                                       model, amp))
 
     if ended == "rho":
         return failed("escaped_domain", "orbit left the physical domain")
@@ -470,30 +475,21 @@ def shoot_heteroclinic(shock, model, **overrides):
                          arclength=arclen, settings=st)
 
 
-def _diagnose_stall(w, direction, shock, model, rho_floor, amp):
+def _diagnose_stall(w, direction, shock, model, amp):
     """Post-mortem for a run that stalled at w without an event.
 
     No step lands where planar_rhs is NaN or blows up: RK45's step size
     underflows short of it, and LSODA ends at its last finite state.
-    Proximity to the light cone or to the admissible density interval
-    certifies a domain escape.  A NaN tangent, planar_rhs at w, certifies
-    the singular locus; so does a sign change (or collapse) of det M
-    ahead, on a short ray along the tangent.
+    A NaN tangent, planar_rhs at w, certifies the singular locus; so
+    does a sign change (or collapse) of det M ahead, on a short ray
+    along the tangent.  Any other stall is no_connection.
     """
-    psi0, psi1 = -w[0], w[1]
-    scale = abs(psi0) + abs(psi1)
-    if psi0 - abs(psi1) <= 1e-9 * scale:
-        return "escaped_domain", "stalled at the light cone"
-    state = FluidState(psi0, psi1)
-    rho = shock.eos.rho(state.theta)
-    if rho >= shock.rho_bar * (1.0 - 1e-9) or rho <= rho_floor * (1.0 + 1e-9):
-        return "escaped_domain", "stalled at the admissible density bound"
     singular_locus = ("singular_matrix", "orbit ran into the singular locus "
                       "of the profile matrix (det M changes sign ahead)")
     tangent = direction * np.array(planar_rhs(w, shock, model))
     if np.isnan(tangent).any():
         return singular_locus
-    d0, _ = _det(model.entries(*state.theta_u()))
+    d0, _ = _det(model.entries(*FluidState(-w[0], w[1]).theta_u()))
     nt = math.hypot(*tangent)
     if nt > 0.0:
         tangent = tangent / nt

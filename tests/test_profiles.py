@@ -308,28 +308,39 @@ def test_escaped_domain():
 
 
 def test_stall_diagnosis():
-    # the post-mortem of a step-size underflow, on hand-placed states:
-    # at the light cone, at rho_bar, and mid-shock on the floor
-    # mu = 4 eta / 3, where det M < 0 along the whole probe ray
+    # the post-mortem of a step-size underflow, on hand-placed states.
+    # A stall names what stopped it, and never escaped_domain, which
+    # only the density event reports: next to the light cone det M
+    # collapses and the tangent is NaN; at rho_bar, and mid-shock on the
+    # floor mu = 4 eta / 3, det M keeps its sign along the probe ray
     sd = shock_from_strength(RAD, 1.0, 0.5)
     m = make_model("bdn", RAD, eta=1.0, mu=4.0 / 3.0, nu=2.0)
     amp = float(np.linalg.norm(sd.state_plus.cov - sd.state_minus.cov))
-    args = (sd, m, 1e-10 * sd.rho_minus, amp)
     diagnose = profile_dynamics._diagnose_stall
-    assert diagnose(np.array([-1.0, 1.0 - 1e-12]), 1.0, *args) == (
-        "escaped_domain", "stalled at the light cone")
+    singular_locus = ("singular_matrix", "orbit ran into the singular "
+                      "locus of the profile matrix (det M changes sign "
+                      "ahead)")
+    stalled = ("no_connection", "integrator stalled (step size underflow)")
+    assert diagnose(np.array([-1.0, 1.0 - 1e-12]), 1.0, sd, m,
+                    amp) == singular_locus
     at_bar = FluidState.from_rho_u1(RAD, sd.rho_bar, 0.3).cov
-    assert diagnose(at_bar, 1.0, *args) == (
-        "escaped_domain", "stalled at the admissible density bound")
+    assert diagnose(at_bar, 1.0, sd, m, amp) == stalled
     mid = 0.5 * (sd.rho_minus + sd.rho_plus)
     w = FluidState.from_rho_u1(RAD, mid, u1_of_rho(mid, sd.q0, sd.q1))
-    assert diagnose(w.cov, 1.0, *args) == (
-        "no_connection", "integrator stalled (step size underflow)")
+    assert diagnose(w.cov, 1.0, sd, m, amp) == stalled
     # where M itself is singular, planar_rhs gives no tangent to probe
     rank_one = make_model("ft-viscous", RAD, eta=1.0)
-    assert diagnose(w.cov, 1.0, sd, rank_one, *args[2:]) == (
-        "singular_matrix", "orbit ran into the singular locus of the "
-        "profile matrix (det M changes sign ahead)")
+    assert diagnose(w.cov, 1.0, sd, rank_one, amp) == singular_locus
+    # near where test_singular_matrix_inside_the_integration's RK45 shot
+    # (direction -1) stalls, the tangent is finite, and det M changes
+    # sign on the probe ray ahead of the orbit but not behind it
+    sd = shock_from_strength(RAD, 0.1, 0.5)
+    m = make_model("bdn", RAD, eta=1.0, mu=10.0, nu=100.0)
+    amp = float(np.linalg.norm(sd.state_plus.cov - sd.state_minus.cov))
+    w = np.array([-2.599, 1.7987])
+    assert not np.isnan(profile_dynamics.planar_rhs(w, sd, m)).any()
+    assert diagnose(w, -1.0, sd, m, amp) == singular_locus
+    assert diagnose(w, 1.0, sd, m, amp) == stalled
 
 
 def test_compute_profile_refuses_a_model_of_another_eos():

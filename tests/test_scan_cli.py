@@ -554,6 +554,21 @@ def test_cli_config_errors(capsys, tmp_path):
     assert main(["profile", "--config", str(ini)]) == 1
     assert "unknown config section [solvr]" in capsys.readouterr().err
     assert not (tmp_path / "profile.json").exists()
+    # a file configparser cannot parse: a key given twice, and no
+    # section header
+    ini.write_text(CONFIG.format(out=tmp_path).replace(
+        "kind = radiation\n", "kind = radiation\nkind = radiation\n"))
+    assert main(["rh", "--config", str(ini)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: malformed config file {ini}: ")
+    assert "option 'kind' in section 'eos' already exists" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    ini.write_text("q1 = 3\n" + CONFIG.format(out=tmp_path))
+    assert main(["rh", "--config", str(ini)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: malformed config file {ini}: ")
+    assert "no section headers" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 REMOVED_METHODS = ["RK23", "DOP853", "Radau", "BDF"]
@@ -930,3 +945,36 @@ def test_cli_eos_file(tmp_path, capsys):
     rc = main(["rh", "--eos", f"file:{f}", "--q1", "3", "--strength", "0.5"])
     assert rc == 0
     assert "rho_minus = 0.87867965" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["rh", "--q1", "1", "--strength", "0.5"],
+    ["profile", "--q1", "1", "--strength", "0.5", "--model", "bdn",
+     "--mu", "4/3", "--nu", "4"],
+    ["scan", "--q1", "1", "--model", "bdn", "--mu", "4/3", "--nu", "4",
+     "--strengths", "0.5"],
+], ids=["rh", "profile", "scan"])
+def test_cli_unreadable_eos_file(argv, tmp_path, capsys):
+    # the missing file is named on one error line, before any solve
+    path = tmp_path / "missing.txt"
+    assert main([*argv, "--eos", f"file:{path}", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: cannot read EOS file '{path}': "
+                   "No such file or directory\n")
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["rh", "--strength", "0.5", "--json"],
+    ["profile", "--strength", "0.5", "--model", "ft-viscous"],
+    ["scan", "--model", "ft-viscous", "--strengths", "0.5"],
+], ids=["rh", "profile", "scan"])
+def test_cli_out_names_a_file(argv, tmp_path, capsys):
+    # --out naming an existing file is a configuration error naming it
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main([*argv, "--eos", "radiation", "--q1", "1",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.endswith(f"File exists: '{out}'\n")
